@@ -58,14 +58,6 @@ class OperatorMatrix:
         self.basis = basis
         self.entries = entries
 
-    @classmethod
-    def identity(cls, basis):
-        return cls(basis, np.eye(basis.dimension))
-
-    @classmethod
-    def zeros(cls, basis):
-        return cls(basis, np.zeros((basis.dimension, basis.dimension)))
-
     def _check(self, other):
         if self.basis != other.basis:
             raise ValueError("operators live on different bases")

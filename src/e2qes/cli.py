@@ -117,15 +117,25 @@ def _coefficients(data):
         raise ConfigError(f"bad coefficients: {exc}") from exc
 
 
-def _time_list(data, key, default):
+def _number_list(data, key, default=None):
     if key not in data:
-        return tuple(default)
-    times = data[key]
-    if (not isinstance(times, list) or not times
+        return default
+    values = data[key]
+    if (not isinstance(values, list) or not values
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in times)):
+                       for x in values)):
         raise ConfigError(f"{key} must be a non-empty list of numbers")
-    return tuple(float(x) for x in times)
+    return tuple(float(x) for x in values)
+
+
+def _expression(data, key):
+    val = data[key]
+    if not isinstance(val, (str, int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{key} must be an expression string or number")
+    try:
+        return TimeFunction.parse(str(val))
+    except ExpressionError as exc:
+        raise ConfigError(f"bad {key} expression: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def cmd_classify(args):
     data = _load_config(args, required=("coefficients",),
                         optional=("sampleTimes", "tolerance"))
     coeffs = _coefficients(data)
-    times = _time_list(data, "sampleTimes", (0.0, 0.37, 1.0, 2.5))
+    times = _number_list(data, "sampleTimes", (0.0, 0.37, 1.0, 2.5))
     tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-12
     classes = classify_pt(coeffs, sample_times=times, tol=tol)
     _emit_json(args, sorted(c.value for c in classes))
@@ -153,17 +163,9 @@ def cmd_solve_dyson(args):
     except ValueError as exc:
         raise ConfigError(f"unknown class {data['class']!r}") from exc
     coeffs = _coefficients(data)
-    kwargs = {}
-    for key, name in (("lambda", "lam"), ("tau", "tau")):
-        if key in data:
-            if not isinstance(data[key], (str, int, float)) \
-                    or isinstance(data[key], bool):
-                raise ConfigError(f"{key} must be an expression string or number")
-            try:
-                kwargs[name] = TimeFunction.parse(str(data[key]))
-            except ExpressionError as exc:
-                raise ConfigError(f"bad {key} expression: {exc}") from exc
-    probe_times = _time_list(data, "probeTimes", (0.0, 0.37, 1.0, 2.5))
+    kwargs = {name: _expression(data, key)
+              for key, name in (("lambda", "lam"), ("tau", "tau")) if key in data}
+    probe_times = _number_list(data, "probeTimes", (0.0, 0.37, 1.0, 2.5))
     tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-8
     sol = solve_dyson(pt_class, coeffs, probe_times=probe_times,
                       order=args.truncation, tolerance=tol, **kwargs)
@@ -235,14 +237,8 @@ def cmd_observables(args):
         optional=("times", "tolerance"))
     zeta = _as_number(data, "zeta")
     beta = _as_number(data, "beta")
-    if not isinstance(data["lambda"], (str, int, float)) \
-            or isinstance(data["lambda"], bool):
-        raise ConfigError("lambda must be an expression string or number")
-    try:
-        lam = TimeFunction.parse(str(data["lambda"]))
-    except ExpressionError as exc:
-        raise ConfigError(f"bad lambda expression: {exc}") from exc
-    times = _time_list(data, "times", (0.0, 0.5, 1.0))
+    lam = _expression(data, "lambda")
+    times = _number_list(data, "times", (0.0, 0.5, 1.0))
     tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-8
     system = ThreeLevelSystem(ModelParams.quantized(2, zeta, beta), lam)
     grid = QuadratureGrid(n_nodes=args.quadrature)
@@ -306,13 +302,9 @@ def cmd_double_scaling(args):
                         optional=("kLow",))
     g = _as_number(data, "g", lo=0.0)
     beta = _as_number(data, "beta")
-    zetas = data["zetas"]
-    if (not isinstance(zetas, list) or not zetas
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in zetas)):
-        raise ConfigError("zetas must be a non-empty list of numbers")
+    zetas = _number_list(data, "zetas")
     k_low = _as_int(data, "kLow", lo=1) if "kLow" in data else 4
-    rows = double_scaling_compare(g, [float(z) for z in zetas], beta,
+    rows = double_scaling_compare(g, zetas, beta,
                                   order=args.truncation, k_low=k_low)
     devs = [float(r["deviation"].max()) for r in rows]
     payload = {
@@ -363,19 +355,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.truncation < 2:
+            raise ConfigError("--truncation must be >= 2")
+        if args.quadrature < 8:
+            raise ConfigError("--quadrature must be >= 8")
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, ExpressionError) as exc:
+        error, code = exc, EXIT_CONFIG
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        error, code = exc, EXIT_PRECONDITION
     except ResidualCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        error, code = exc, EXIT_FAILED
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

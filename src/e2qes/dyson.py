@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,21 +19,18 @@ import sympy as sp
 from scipy.linalg import expm
 
 from .algebra import OperatorMatrix, build_generators, interior_norm
-from .model import (
-    COEFF_KEYS,
-    CoefficientSet,
-    DEFAULT_PROBE_TIMES,
-    PreconditionError,
-    PtClass,
-    classify_pt,
-    is_hermitian,
-    realize,
-)
+from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, PreconditionError,
+                    PtClass, classify_pt, is_hermitian, realize)
 from .timefunc import T, TimeFunction
 
 
 class ResidualCheckError(RuntimeError):
     """A mandatory numerical self-check exceeded its tolerance."""
+
+
+# which profiles (tau, lam, rho) enter the map multiplied by i, per class
+_PHASES = {c: (1, 1j, 1) for c in PtClass} | {
+    PtClass.PT1: (1, 1, 1), PtClass.PT5: (1j, 1j, 1)}
 
 
 @dataclass(frozen=True)
@@ -58,157 +56,166 @@ class DysonParams:
 
     def effective(self, t):
         """Complex slot values (tau_e, lam_e, rho_e) at time t."""
-        tau, lam, rho = self.tau(t), self.lam(t), self.rho(t)
-        if self.pt_class is PtClass.PT1:
-            return complex(tau), complex(lam), complex(rho)
-        if self.pt_class is PtClass.PT5:
-            return 1j * tau, 1j * lam, complex(rho)
-        return complex(tau), 1j * lam, complex(rho)
+        return tuple(complex(k * f(t)) for k, f in
+                     zip(_PHASES[self.pt_class], (self.tau, self.lam, self.rho)))
 
 
 # ---------------------------------------------------------------------------
-# (re, im) pair arithmetic on sympy expressions
-
-_Z = sp.S.Zero
-
-
-def _padd(*pairs):
-    return (sp.Add(*[p[0] for p in pairs]), sp.Add(*[p[1] for p in pairs]))
+# The conjugation table is written once in +, -, * and 1j notation and read
+# over two scalar types: complex for the numeric self-checks, _Sym for the
+# symbolic image that gets serialized.
 
 
-def _pmul(p, q):
-    return (sp.expand(p[0] * q[0] - p[1] * q[1]),
-            sp.expand(p[0] * q[1] + p[1] * q[0]))
+class _Sym:
+    """Complex sympy value as (re, im) parts, scaled by 1j or integers.
+
+    Products are expanded as they are formed; a sum keeps its terms and
+    becomes one sp.Add per part when read.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def parts(self):
+        if len(self.terms) == 1:
+            return self.terms[0]
+        return tuple(sp.Add(*part) for part in zip(*self.terms))
+
+    def __add__(self, other):
+        return _Sym(*self.terms, *other.terms)
+
+    def __neg__(self):
+        re, im = self.parts()
+        return _Sym((-re, -im))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        (p0, p1), (q0, q1) = self.parts(), other.parts()
+        return _Sym((sp.expand(p0 * q0 - p1 * q1), sp.expand(p0 * q1 + p1 * q0)))
+
+    def __rmul__(self, k):
+        re, im = self.parts()
+        if k == 1j:
+            return _Sym((-im, re))
+        if isinstance(k, int):
+            return _Sym((k * re, k * im))
+        return NotImplemented
 
 
-def _pi(p):
-    """Multiply by i."""
-    return (-p[1], p[0])
+def _coefficient_set(terms):
+    return CoefficientSet({k: tuple(TimeFunction(sp.expand(x)) for x in v.parts())
+                           for k, v in terms.items()})
 
 
-def _pneg(p):
-    return (-p[0], -p[1])
+_Frame = namedtuple("_Frame", "a b ch sh gauge energy")
 
 
-def _pscale(c, p):
-    return (c * p[0], c * p[1])
+def _frame_terms(params, value, lift, lib):
+    """The pieces of :class:`_Frame` in one scalar type.
 
-
-def _pdiff(p):
-    return (sp.diff(p[0], T), sp.diff(p[1], T))
-
-
-def _pair_tf(p):
-    return (TimeFunction(sp.expand(p[0])), TimeFunction(sp.expand(p[1])))
+    value reads a profile as a real number or expression, lift turns that
+    into the scalar type, lib supplies cos, sin, cosh, sinh.  a and b mix
+    J into u and v; ch, sh are cosh/sinh of the J-slot (cos, i sin when it
+    is imaginary); gauge and energy hold the {J, u, v} coefficients of
+    i (d eta/dt) eta^-1 and of i eta^-1 (d eta/dt).
+    """
+    phases, fns = _PHASES[params.pt_class], (params.tau, params.lam, params.rho)
+    L = value(params.lam)
+    if params.pt_class is PtClass.PT1:
+        ch, sh = lift(lib.cosh(L)), lift(lib.sinh(L))
+    else:
+        ch, sh = lift(lib.cos(L)), 1j * lift(lib.sin(L))
+    tau, _, rho = (k * lift(value(f)) for k, f in zip(phases, fns))
+    d_tau, d_lam, d_rho = (k * lift(value(f.derivative())) for k, f in zip(phases, fns))
+    a = -(1j * tau + rho * sh)
+    b = 1j * (rho * ch)
+    gauge = {"J": 1j * d_lam,
+             "u": 1j * (d_rho * ch) + tau * d_lam,
+             "v": d_rho * sh + 1j * d_tau}
+    energy = {"J": 1j * d_lam,
+              "u": 1j * d_rho + d_tau * sh,
+              "v": rho * d_lam + 1j * (d_tau * ch)}
+    return _Frame(a, b, ch, sh, gauge, energy)
 
 
 @functools.lru_cache(maxsize=128)
 def _frame(params):
-    """Symbolic building blocks of the conjugation at the coefficient level.
-
-    Returns pairs for cosh/sinh of the J-slot, the induced J->u,v mixing
-    coefficients a and b, the evolution gauge terms g, and the energy
-    gauge terms e.
-    """
-    lam, tau, rho = params.lam.expr, params.tau.expr, params.rho.expr
-    if params.pt_class is PtClass.PT1:
-        lam_e, tau_e = (lam, _Z), (tau, _Z)
-        ch, sh = (sp.cosh(lam), _Z), (sp.sinh(lam), _Z)
-    else:
-        lam_e = (_Z, lam)
-        tau_e = (_Z, tau) if params.pt_class is PtClass.PT5 else (tau, _Z)
-        ch, sh = (sp.cos(lam), _Z), (_Z, sp.sin(lam))
-    rho_e = (rho, _Z)
-
-    a = _pneg(_padd(_pi(tau_e), _pmul(rho_e, sh)))
-    b = _pi(_pmul(rho_e, ch))
-    d_lam, d_tau, d_rho = _pdiff(lam_e), _pdiff(tau_e), _pdiff(rho_e)
-    gauge = {
-        "J": _pi(d_lam),
-        "u": _padd(_pi(_pmul(d_rho, ch)), _pmul(tau_e, d_lam)),
-        "v": _padd(_pmul(d_rho, sh), _pi(d_tau)),
-    }
-    energy = {
-        "J": _pi(d_lam),
-        "u": _padd(_pi(d_rho), _pmul(d_tau, sh)),
-        "v": _padd(_pmul(rho_e, d_lam), _pi(_pmul(d_tau, ch))),
-    }
-    return {"ch": ch, "sh": sh, "a": a, "b": b,
-            "gauge": gauge, "energy": energy}
+    """:func:`_frame_terms` over sympy, the gauge sums added up."""
+    sym = _frame_terms(params, lambda fn: fn.expr, lambda x: _Sym((x, sp.S.Zero)), sp)
+    gauge, energy = ({k: _Sym(v.parts()) for k, v in g.items()}
+                     for g in (sym.gauge, sym.energy))
+    return sym._replace(gauge=gauge, energy=energy)
 
 
-def conjugate_coefficients(coeffs, params):
-    """Push a coefficient set through the frame map, gauge term included.
+def _frame_at(params, t):
+    """:func:`_frame_terms` over complex numbers at time t."""
+    return _frame_terms(params, lambda f: f(t), float, math)
+
+
+def _conjugate_table(mu, frame):
+    """The nine words of eta (sum_w mu_w w) eta^-1 + i (d eta/dt) eta^-1.
 
     Output words are literal products (uJ = u then J), so the result can
     carry imaginary u and v parts that pair with the uJ/vJ words of a
     Hermitian operator.
     """
-    f = _frame(params)
-    a, b, ch, sh = f["a"], f["b"], f["ch"], f["sh"]
-    g = f["gauge"]
-    mu = {k: (re.expr, im.expr) for k, (re, im) in coeffs.items()}
-
-    out = {
+    a, b, ch, sh, g, _ = frame
+    return {
         "JJ": mu["JJ"],
-        "J": _padd(mu["J"], g["J"]),
-        "u": _padd(_pmul(a, mu["J"]), _pmul(ch, mu["u"]),
-                   _pi(_pmul(sh, mu["v"])), _pi(_pmul(b, mu["JJ"])), g["u"]),
-        "v": _padd(_pmul(b, mu["J"]), _pneg(_pi(_pmul(sh, mu["u"]))),
-                   _pmul(ch, mu["v"]), _pneg(_pi(_pmul(a, mu["JJ"]))), g["v"]),
-        "uJ": _padd(_pscale(2, _pmul(a, mu["JJ"])), _pmul(ch, mu["uJ"]),
-                    _pi(_pmul(sh, mu["vJ"]))),
-        "vJ": _padd(_pscale(2, _pmul(b, mu["JJ"])),
-                    _pneg(_pi(_pmul(sh, mu["uJ"]))), _pmul(ch, mu["vJ"])),
-        "uu": _padd(_pmul(a, _pmul(a, mu["JJ"])), _pmul(a, _pmul(ch, mu["uJ"])),
-                    _pi(_pmul(a, _pmul(sh, mu["vJ"]))),
-                    _pmul(ch, _pmul(ch, mu["uu"])),
-                    _pneg(_pmul(sh, _pmul(sh, mu["vv"]))),
-                    _pi(_pmul(ch, _pmul(sh, mu["uv"])))),
-        "vv": _padd(_pmul(b, _pmul(b, mu["JJ"])),
-                    _pneg(_pi(_pmul(b, _pmul(sh, mu["uJ"])))),
-                    _pmul(b, _pmul(ch, mu["vJ"])),
-                    _pneg(_pmul(sh, _pmul(sh, mu["uu"]))),
-                    _pmul(ch, _pmul(ch, mu["vv"])),
-                    _pneg(_pi(_pmul(ch, _pmul(sh, mu["uv"]))))),
-        "uv": _padd(_pscale(2, _pmul(a, _pmul(b, mu["JJ"]))),
-                    _pmul(_padd(_pmul(b, ch), _pneg(_pi(_pmul(a, sh)))), mu["uJ"]),
-                    _pmul(_padd(_pmul(a, ch), _pi(_pmul(b, sh))), mu["vJ"]),
-                    _pscale(-2, _pi(_pmul(ch, _pmul(sh, mu["uu"])))),
-                    _pscale(2, _pi(_pmul(ch, _pmul(sh, mu["vv"])))),
-                    _pmul(_padd(_pmul(ch, ch), _pmul(sh, sh)), mu["uv"])),
+        "J": mu["J"] + g["J"],
+        "u": (a * mu["J"] + ch * mu["u"] + 1j * (sh * mu["v"])
+              + 1j * (b * mu["JJ"]) + g["u"]),
+        "v": (b * mu["J"] - 1j * (sh * mu["u"]) + ch * mu["v"]
+              - 1j * (a * mu["JJ"]) + g["v"]),
+        "uJ": 2 * (a * mu["JJ"]) + ch * mu["uJ"] + 1j * (sh * mu["vJ"]),
+        "vJ": 2 * (b * mu["JJ"]) - 1j * (sh * mu["uJ"]) + ch * mu["vJ"],
+        "uu": (a * (a * mu["JJ"]) + a * (ch * mu["uJ"])
+               + 1j * (a * (sh * mu["vJ"])) + ch * (ch * mu["uu"])
+               - sh * (sh * mu["vv"]) + 1j * (ch * (sh * mu["uv"]))),
+        "vv": (b * (b * mu["JJ"]) - 1j * (b * (sh * mu["uJ"]))
+               + b * (ch * mu["vJ"]) - sh * (sh * mu["uu"])
+               + ch * (ch * mu["vv"]) - 1j * (ch * (sh * mu["uv"]))),
+        "uv": (2 * (a * (b * mu["JJ"]))
+               + (b * ch - 1j * (a * sh)) * mu["uJ"]
+               + (a * ch + 1j * (b * sh)) * mu["vJ"]
+               - 2 * (1j * (ch * (sh * mu["uu"])))
+               + 2 * (1j * (ch * (sh * mu["vv"])))
+               + (ch * ch + sh * sh) * mu["uv"]),
     }
-    return CoefficientSet({k: _pair_tf(p) for k, p in out.items()})
+
+
+def conjugate_coefficients(coeffs, params):
+    """Push a coefficient set through the frame map, gauge term included."""
+    mu = {k: _Sym((re.expr, im.expr)) for k, (re, im) in coeffs.items()}
+    return _coefficient_set(_conjugate_table(mu, _frame(params)))
+
+
+def _conjugate_at(coeffs, params, t):
+    """Word -> complex value of :func:`conjugate_coefficients` at time t."""
+    return _conjugate_table(coeffs.at(t), _frame_at(params, t))
 
 
 def adjoint_closed_form(generator, params, t):
     """Coefficients of eta g eta^{-1} over {J, u, v} for g in {J, u, v}."""
-    f = _frame(params)
-
-    def val(pair):
-        re, im = _pair_tf(pair)
-        return complex(re(t), im(t))
-
-    ch, sh = val(f["ch"]), val(f["sh"])
-    if generator == "J":
-        return {"J": 1.0 + 0.0j, "u": val(f["a"]), "v": val(f["b"])}
-    if generator == "u":
-        return {"J": 0.0j, "u": ch, "v": -1j * sh}
-    if generator == "v":
-        return {"J": 0.0j, "u": 1j * sh, "v": ch}
-    raise ValueError(f"generator must be 'J', 'u' or 'v', got {generator!r}")
+    a, b, ch, sh, _, _ = _frame_at(params, t)
+    closed = {"J": (1, a, b), "u": (0, ch, -1j * sh), "v": (0, 1j * sh, ch)}
+    if generator not in closed:
+        raise ValueError(f"generator must be 'J', 'u' or 'v', got {generator!r}")
+    return {k: complex(c) for k, c in zip("Juv", closed[generator])}
 
 
 def gauge_coefficients(params):
     """Coefficient set of i (d eta/dt) eta^{-1}: a {J, u, v} combination."""
-    f = _frame(params)
-    return CoefficientSet({k: _pair_tf(f["gauge"][k]) for k in ("J", "u", "v")})
+    return _coefficient_set(_frame(params).gauge)
 
 
 def energy_gauge_coefficients(params):
     """Coefficient set of i eta^{-1} (d eta/dt): the frame-energy shift."""
-    f = _frame(params)
-    return CoefficientSet({k: _pair_tf(f["energy"][k]) for k in ("J", "u", "v")})
+    return _coefficient_set(_frame(params).energy)
 
 
 def eta_matrix(params, t, order):
@@ -231,25 +238,21 @@ def eta_inverse(params, t, order):
     return OperatorMatrix(J.basis, left @ (diag[:, None] * right))
 
 
-def gauge_term(params, t, order):
-    """Dense i (d eta/dt) eta^{-1} from the closed-form coefficients."""
-    return realize(gauge_coefficients(params), t, order)
-
-
 def energy_operator(coeffs, params, t, order):
     """Generator of phase evolution in the mapped frame, pulled back:
     realize(coeffs) + i eta^{-1} (d eta/dt)."""
-    H = realize(coeffs, t, order)
-    shift = realize(energy_gauge_coefficients(params), t, order)
-    return H + shift
+    return realize(coeffs, t, order) + realize(_frame_at(params, t).energy, t, order)
 
 
 def tdde_residual(coeffs, h_coeffs, params, t, order=32, pad=4):
-    """Relative interior residual of h eta - eta H - (gauge) eta at time t."""
+    """Relative interior residual of h eta - eta H - (gauge) eta at time t.
+
+    h_coeffs may be a CoefficientSet or a word -> value mapping at t.
+    """
     eta = eta_matrix(params, t, order)
     Hm = realize(coeffs, t, order)
     hm = realize(h_coeffs, t, order)
-    G = gauge_term(params, t, order)
+    G = realize(_frame_at(params, t).gauge, t, order)
     R = hm @ eta - eta @ Hm - G @ eta
     scale = 1.0 + interior_norm(Hm, pad) + interior_norm(hm, pad)
     return interior_norm(R, pad) / scale
@@ -269,17 +272,15 @@ FREE_PARAMETERS = {
 _SINGULAR_CLASSES = (PtClass.PT2, PtClass.PT3, PtClass.PT4)
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class DysonSolution:
     """Frame map, Hermitian image and bookkeeping from one solve."""
 
-    __slots__ = ("params", "h_coeffs", "constraints", "free_parameters", "tdde")
-
-    def __init__(self, params, h_coeffs, constraints, free_parameters, tdde):
-        self.params = params
-        self.h_coeffs = h_coeffs
-        self.constraints = constraints
-        self.free_parameters = free_parameters
-        self.tdde = tdde
+    params: DysonParams
+    h_coeffs: CoefficientSet
+    constraints: dict
+    free_parameters: tuple
+    tdde: dict
 
     def __repr__(self):
         worst = max(self.tdde.values()) if self.tdde else float("nan")
@@ -455,20 +456,22 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
         detail = ", ".join(f"{n}={v:.3e}" for n, v in sorted(violated.items()))
         raise PreconditionError(f"coefficient constraints violated: {detail}")
 
-    h = conjugate_coefficients(coeffs, params)
-
+    # the self-checks read the conjugation table numerically; the dense
+    # eta inside tdde_residual stays the independent oracle
     tdde = {}
     for t in probe_times:
-        if not is_hermitian(h, t, order):
+        h_t = _conjugate_at(coeffs, params, t)
+        if not is_hermitian(h_t, t, order):
             raise ResidualCheckError(
                 f"mapped coefficients fail the Hermiticity self-check at t={t}")
-        r = tdde_residual(coeffs, h, params, t, order)
+        r = tdde_residual(coeffs, h_t, params, t, order)
         tdde[float(t)] = r
         if r > tolerance:
             raise ResidualCheckError(
                 f"operator-relation self-check failed at t={t}: "
                 f"residual {r:.3e} > {tolerance:.1e}")
 
+    h = conjugate_coefficients(coeffs, params)
     return DysonSolution(params, h, constraints, FREE_PARAMETERS[pt_class], tdde)
 
 

@@ -9,6 +9,7 @@ times rather than decided symbolically.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,25 +184,31 @@ def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES, tol=1e-12):
     return found
 
 
+@functools.lru_cache(maxsize=32)
+def _word_matrices(order):
+    J, u, v = build_generators(order)
+    words = {"JJ": J @ J, "J": J, "u": u, "v": v, "uJ": u @ J, "vJ": v @ J,
+             "uu": u @ u, "vv": v @ v, "uv": u @ v}
+    return J.basis, {k: w.entries for k, w in words.items()}
+
+
 def realize(coeffs, t, order):
     """Assemble the dense operator sum c_w(t) * word on a mode basis.
 
-    Products are literal matrix products in the written order (uJ means
-    u @ J), so non-Hermitian-looking coefficient splits still land on
-    the intended operator.
+    coeffs is a CoefficientSet, read at time t, or a mapping from words
+    to complex values (absent words are zero).  Products are literal
+    matrix products in the written order (uJ means u @ J), so
+    non-Hermitian-looking coefficient splits still land on the intended
+    operator.
     """
-    J, u, v = build_generators(order)
-    words = {
-        "JJ": J @ J, "J": J, "u": u, "v": v,
-        "uJ": u @ J, "vJ": v @ J,
-        "uu": u @ u, "vv": v @ v, "uv": u @ v,
-    }
-    total = np.zeros((J.basis.dimension, J.basis.dimension), dtype=complex)
+    basis, words = _word_matrices(order)
+    values = coeffs.at(t) if isinstance(coeffs, CoefficientSet) else coeffs
+    total = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     for key in COEFF_KEYS:
-        c = coeffs.value(key, t)
+        c = values.get(key, 0)
         if c != 0:
-            total = total + c * words[key].entries
-    return OperatorMatrix(J.basis, total)
+            total = total + c * words[key]
+    return OperatorMatrix(basis, total)
 
 
 def is_hermitian(coeffs, t, order=64, pad=4):

@@ -2,9 +2,11 @@
 
 Coefficient profiles, pump functions and map parameters are all scalar
 functions of a single time variable built from the grammar
-``t, numbers, + - * / ^, sin, cos, exp``.  Wrapping sympy keeps the
-derivative exact (no step-size tuning in residual tests) and makes the
-antiderivative available for the one place it is needed.
+``t, numbers, + - * / ^, sin, cos, tan, exp, sinh, cosh, tanh``, which
+covers what :meth:`TimeFunction.serialize` emits for solver output.
+Wrapping sympy keeps the derivative exact (no step-size tuning in
+residual tests) and makes the antiderivative available for the one place
+it is needed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from sympy.parsing.sympy_parser import (
 
 T = sp.Symbol("t", real=True)
 
-_FUNCTIONS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
+_FUNCTIONS = {f.__name__: f for f in (sp.sin, sp.cos, sp.tan, sp.exp,
+                                      sp.sinh, sp.cosh, sp.tanh)}
 _TRANSFORMS = standard_transformations + (convert_xor,)
 
 
@@ -35,9 +38,10 @@ def _check_grammar(expr, parsed_text=False):
         # text input is held to the documented grammar; internally built
         # expressions may use any function lambdify can evaluate
         for f in expr.atoms(sp.Function):
-            if not isinstance(f, (sp.sin, sp.cos, sp.exp)):
+            if f.func not in _FUNCTIONS.values():
                 raise ExpressionError(
-                    f"function {f.func!s} not in the grammar (sin, cos, exp)")
+                    f"function {f.func!s} not in the grammar "
+                    f"({', '.join(_FUNCTIONS)})")
     return expr
 
 

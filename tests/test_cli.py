@@ -175,3 +175,18 @@ def test_bad_json_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["classify", "--input", str(path)]) == 2
+
+
+def test_truncation_below_two_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "ds.json", {"g": 1.0, "beta": 0.3, "zetas": [0.1]})
+    assert main(["double-scaling", "--input", cfg, "--truncation", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --truncation must be >= 2\n"
+
+
+def test_quadrature_below_eight_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "w.json", {
+        "sector": "cos", "nHat": 2, "zeta": 0.5, "beta": 0.3, "rootIndex": 0})
+    assert main(["wavefunctions", "--input", cfg, "--quadrature", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --quadrature must be >= 8\n"

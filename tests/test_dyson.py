@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from e2qes import dyson
 from e2qes.algebra import build_generators, interior_norm
 from e2qes.dyson import (DysonParams, FREE_PARAMETERS, ResidualCheckError,
                          adjoint_closed_form, conjugate_coefficients,
@@ -8,8 +9,9 @@ from e2qes.dyson import (DysonParams, FREE_PARAMETERS, ResidualCheckError,
                          gauge_coefficients, energy_gauge_coefficients,
                          model_dyson_params, sample_compliant_inputs,
                          solve_dyson, tdde_residual)
-from e2qes.model import (CoefficientSet, ModelParams, PreconditionError,
-                         PtClass, closed_form_counterpart, is_hermitian,
+from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, CoefficientSet,
+                         ModelParams, PreconditionError, PtClass,
+                         closed_form_counterpart, is_hermitian,
                          model_hamiltonian, realize)
 from e2qes.timefunc import TimeFunction
 
@@ -261,3 +263,61 @@ def test_residual_self_check_catches_forced_breakage(rng):
     broken = max(tdde_residual(H, hh, bad, t, order=32) for t in (0.3, 1.7))
     assert good <= 1e-8
     assert broken >= 1e-2
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_numeric_table_matches_symbolic_image(cls, rng):
+    # the self-checks evaluate the conjugation table over complex numbers;
+    # the serialized image is the same table over sympy
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    sol = solve_dyson(cls, coeffs, order=ORDER, **kwargs)
+    for t in DEFAULT_PROBE_TIMES:
+        numeric = dyson._conjugate_at(coeffs, sol.params, t)
+        symbolic = sol.h_coeffs.at(t)
+        scale = max(abs(z) for z in symbolic.values())
+        for key in COEFF_KEYS:
+            assert abs(numeric[key] - symbolic[key]) <= 1e-12 * scale, (key, t)
+
+
+def test_self_check_catches_flipped_word(rng, monkeypatch):
+    coeffs, kwargs = sample_compliant_inputs(PtClass.PT2, rng)
+    solve_dyson(PtClass.PT2, coeffs, order=ORDER, **kwargs)
+    table = dyson._conjugate_at
+
+    def flipped(*args):
+        h = table(*args)
+        return dict(h, JJ=-h["JJ"])
+
+    monkeypatch.setattr(dyson, "_conjugate_at", flipped)
+    with pytest.raises(ResidualCheckError, match="operator-relation"):
+        solve_dyson(PtClass.PT2, coeffs, order=ORDER, **kwargs)
+
+
+def test_self_check_catches_flipped_rho(rng, monkeypatch):
+    coeffs, kwargs = sample_compliant_inputs(PtClass.PT2, rng)
+    build = dyson._BUILDERS[PtClass.PT2]
+
+    def flipped(*args):
+        params, residuals = build(*args)
+        return DysonParams(params.pt_class, params.tau, params.lam,
+                           -params.rho), residuals
+
+    monkeypatch.setitem(dyson._BUILDERS, PtClass.PT2, flipped)
+    with pytest.raises(ResidualCheckError, match="Hermiticity"):
+        solve_dyson(PtClass.PT2, coeffs, order=ORDER, **kwargs)
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_solver_output_reads_back(cls, rng):
+    # every emitted string is inside the parse grammar; values survive
+    # to the 15 significant digits serialize prints
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    sol = solve_dyson(cls, coeffs, order=ORDER, **kwargs)
+    back = CoefficientSet.from_json_dict(sol.h_coeffs.to_json_dict())
+    pairs = [(f, TimeFunction.parse(f.serialize()))
+             for f in (sol.params.tau, sol.params.lam, sol.params.rho)]
+    pairs += [(f, g) for key in COEFF_KEYS
+              for f, g in zip(sol.h_coeffs.pair(key), back.pair(key))]
+    for f, g in pairs:
+        for t in DEFAULT_PROBE_TIMES:
+            assert g(t) == pytest.approx(f(t), rel=1e-13, abs=1e-13)

@@ -23,17 +23,27 @@ def test_parse_number_and_constant():
     assert TimeFunction.parse("3/4")(0.0) == pytest.approx(0.75)
 
 
-@pytest.mark.parametrize("bad", ["x + 1", "tanh(t)", "t + y*t", "foo(t)"])
+@pytest.mark.parametrize("bad", ["x + 1", "log(t)", "t + y*t", "foo(t)"])
 def test_parse_rejects_foreign_names(bad):
     with pytest.raises(ExpressionError):
         TimeFunction.parse(bad)
 
 
+def test_parse_accepts_what_serialize_emits():
+    # solver output uses tan, sinh and tanh; all seven grammar functions parse
+    f = TimeFunction.parse("tan(t) + sinh(t) - cosh(t)*tanh(t) + exp(t)*sin(t)/cos(t)")
+    x = 0.4
+    want = (math.tan(x) + math.sinh(x) - math.cosh(x) * math.tanh(x)
+            + math.exp(x) * math.sin(x) / math.cos(x))
+    assert f(x) == pytest.approx(want, abs=1e-14)
+    assert TimeFunction.parse(f.serialize()) == f
+
+
 def test_internal_expressions_may_use_wider_functions():
     # construction from sympy trees is not restricted to the parse grammar
     t = sp.Symbol("t", real=True)
-    f = TimeFunction(sp.tanh(t))
-    assert f(0.3) == pytest.approx(math.tanh(0.3))
+    f = TimeFunction(sp.atan(t))
+    assert f(0.3) == pytest.approx(math.atan(0.3))
 
 
 def test_derivative():
