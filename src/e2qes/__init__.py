@@ -18,7 +18,7 @@ from .dyson import (DysonParams, DysonSolution, ResidualCheckError,
                     tdde_residual)
 from .invariants import (InvariantSpec, commutation_residual,
                          defining_residual, invariant_rotating,
-                         invariant_static, lr_phase, similarity_residual)
+                         invariant_static, similarity_residual)
 from .model import (CoefficientSet, ModelParams, PreconditionError, PtClass,
                     classify_pt, closed_form_counterpart, is_hermitian,
                     model_hamiltonian, realize)
@@ -27,9 +27,8 @@ from .observables import (QuadratureGrid, ThreeLevelSystem,
                           expectation, modes_to_grid, tdse_residual)
 from .qes import (LambdaPolynomial, QesSpectrum, closed_form_eigenvalues,
                   eigenfunction_series, factorization_residual,
-                  quantization_eigenvalues, recurrence_polynomial,
-                  recurrence_polynomials, series_coefficient)
-from .special import bessel_i, bessel_i_array
+                  quantization_eigenvalues, recurrence_polynomials,
+                  series_coefficient)
 from .timefunc import ExpressionError, TimeFunction, adaptive_simpson
 from .verify import CheckResult, all_check_names, run_all
 
@@ -57,8 +56,6 @@ __all__ = [
     "adjoint_closed_form",
     "all_check_names",
     "apply_coefficients",
-    "bessel_i",
-    "bessel_i_array",
     "build_generators",
     "classify_pt",
     "closed_form_counterpart",
@@ -78,13 +75,11 @@ __all__ = [
     "invariant_rotating",
     "invariant_static",
     "is_hermitian",
-    "lr_phase",
     "model_dyson_params",
     "model_hamiltonian",
     "modes_to_grid",
     "quantization_eigenvalues",
     "realize",
-    "recurrence_polynomial",
     "recurrence_polynomials",
     "run_all",
     "sample_compliant_inputs",

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import build_generators, commutator, interior_norm
 from .dyson import eta_inverse, eta_matrix, model_dyson_params
-from .model import (ModelParams, PreconditionError, closed_form_counterpart,
-                    model_hamiltonian, realize)
+from .model import (ModelParams, closed_form_counterpart, model_hamiltonian,
+                    realize)
 from .timefunc import TimeFunction
 
 
@@ -94,8 +92,3 @@ def similarity_residual(spec, t, order=64, pad=4):
     conjugated = eta @ I_static @ eta_inv
     diff = direct + (-1.0) * conjugated
     return interior_norm(diff, pad) / (1.0 + interior_norm(direct, pad))
-
-
-def lr_phase(energy, t):
-    """Accumulated phase of an invariant eigenstate with eigenvalue energy."""
-    return -float(energy) * float(t)

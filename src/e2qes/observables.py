@@ -13,10 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, PreconditionError
-from .special import bessel_i
 from .timefunc import TimeFunction
 
 OP_NAMES = ("u", "v", "J")
+
+
+def _bessel_i(orders, x):
+    """I_n(x) for the three-level closed forms, which overflow past x ~ 713."""
+    from scipy.special import iv  # imported here to keep it out of `import e2qes`
+
+    vals = iv(orders, x)
+    if not np.all(np.isfinite(vals)):
+        raise PreconditionError(f"three-level closed forms overflow at gamma={2.0 * x}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,7 @@ class ThreeLevelSystem:
     def normalization(self, state):
         """Quadratic normalization constants of the closed forms."""
         g = self.gamma
-        i0 = bessel_i(0, 0.5 * g)
-        i1 = bessel_i(1, 0.5 * g)
+        i0, i1 = _bessel_i((0, 1), 0.5 * g)
         if state == "zero":
             return i1
         sgn = 1.0 if state == "plus" else -1.0
@@ -172,8 +180,7 @@ class ThreeLevelSystem:
         if state == "zero":
             raise PreconditionError("moment constants are defined for plus/minus only")
         g = self.gamma
-        i1 = bessel_i(1, 0.5 * g)
-        i2 = bessel_i(2, 0.5 * g)
+        i1, i2 = _bessel_i((1, 2), 0.5 * g)
         sgn = 1.0 if state == "plus" else -1.0
         s = np.sqrt(1.0 + g * g)
         return (g * (1.0 - g * g + sgn * s) * i1
@@ -208,8 +215,8 @@ class ThreeLevelSystem:
         """<u>, <v>, <J> per state from the first-moment closed forms."""
         lam_t = self.lam(t)
         sin_l, cos_l = np.sin(lam_t), np.cos(lam_t)
-        g = self.gamma
-        ratio0 = bessel_i(2, 0.5 * g) / bessel_i(1, 0.5 * g)
+        i1, i2 = _bessel_i((1, 2), 0.5 * self.gamma)
+        ratio0 = i2 / i1
         out = {"zero": {"u": ratio0 * sin_l, "v": -ratio0 * cos_l, "J": 0.0}}
         for state in ("plus", "minus"):
             r = self.moment(state) / self.normalization(state)

@@ -4,18 +4,21 @@ Eigenvalues in the cos and sin parity sectors are roots of a three-term
 polynomial recurrence in the spectral variable.  At quantized level
 parameter N = n_hat + (n_hat - 1) beta the recurrence kernel develops a
 zero and every later polynomial factors through the n_hat-th one, which
-is what terminates the eigenfunction series.
+is what terminates the eigenfunction series.  The terminating recurrence
+is the characteristic recurrence of a symmetric Jacobi matrix, so its
+roots and the series weights are that matrix's eigenvalues and
+eigenvectors (Golub & Welsch).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigh_tridiagonal
 
-from .model import ModelParams, PreconditionError
-from .special import bessel_i_array
+from .model import PreconditionError
 
 SECTORS = ("cos", "sin")
 
@@ -28,13 +31,6 @@ class LambdaPolynomial:
 
     def __call__(self, x):
         return npoly.polyval(x, np.asarray(self.coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def derivative(self):
-        return LambdaPolynomial(tuple(npoly.polyder(np.asarray(self.coeffs))))
 
 
 def _check_sector(sector):
@@ -81,10 +77,6 @@ def recurrence_polynomials(sector, n_max, p):
     return [LambdaPolynomial(tuple(c)) for c in polys]
 
 
-def recurrence_polynomial(sector, n, p):
-    return recurrence_polynomials(sector, n, p)[-1]
-
-
 def series_coefficient(n, p):
     """Weight c_n multiplying the n-th sector polynomial in the series."""
     if n < 0:
@@ -107,6 +99,21 @@ def series_coefficient(n, p):
     return 1.0 / (z ** n * (N + b) * (1.0 + b) ** (n - 1) * poch)
 
 
+def _jacobi(sector, n_hat, gamma):
+    """Diagonal and off-diagonal of the sector's symmetric Jacobi matrix.
+
+    At the quantized level the kernel is gamma^2 (n_hat + n - 1)(n_hat - n)
+    >= 0 for every real beta; the first cos link carries the n = 1 factor 2.
+    """
+    ns = np.arange(0 if sector == "cos" else 1, n_hat, dtype=float)
+    links = ns[1:]
+    with np.errstate(over="ignore"):  # callers test the entries for overflow
+        off = abs(gamma) * np.sqrt((n_hat + links - 1.0) * (n_hat - links))
+    if sector == "cos" and off.size:
+        off[0] *= np.sqrt(2.0)
+    return 4.0 * ns ** 2, off
+
+
 @dataclass(eq=False)
 class QesSpectrum:
     sector: str
@@ -115,7 +122,6 @@ class QesSpectrum:
     beta: float
     lambdas: np.ndarray
     energies: np.ndarray
-    weights: list = field(default=None)
 
     def to_json_dict(self):
         return {
@@ -131,10 +137,10 @@ class QesSpectrum:
 def quantization_eigenvalues(sector, n_hat, zeta, beta):
     """Sector spectrum at the quantized level parameter.
 
-    Roots of the terminating polynomial are located by companion-matrix
-    eigenvalues and polished with one Newton step; residual imaginary
-    parts above 1e-8 are an error, real parts are sorted and repeats
-    within 1e-9 merged.  Energies shift each root by -beta zeta^2.
+    The roots of the terminating polynomial are the eigenvalues of the
+    sector's Jacobi matrix, sorted ascending; at zeta = 0 the matrix is
+    diagonal and they are the free-rotor values 4 k^2.  Energies shift
+    each root by -beta zeta^2.
     """
     _check_sector(sector)
     min_n = 1 if sector == "cos" else 2
@@ -142,52 +148,13 @@ def quantization_eigenvalues(sector, n_hat, zeta, beta):
         raise PreconditionError(
             f"n_hat must be an integer >= {min_n} for the {sector} sector")
     zeta, beta = float(zeta), float(beta)
-    p = ModelParams.quantized(int(n_hat), zeta, beta)
-
-    n_roots = n_hat if sector == "cos" else n_hat - 1
-    if zeta == 0.0:
-        # free-rotor limit: the series weights degenerate, but the
-        # spectrum itself continues to 4 k^2
-        ks = range(0, n_roots) if sector == "cos" else range(1, n_hat)
-        lambdas = np.array([4.0 * k ** 2 for k in ks])
-        energies = np.array([lam - beta * zeta ** 2 for lam in lambdas])
-        return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, energies, None)
-
-    poly = recurrence_polynomial(sector, int(n_hat), p)
-    coeffs = np.asarray(poly.coeffs)
-    if abs(coeffs[-1] - 1.0) > 0:
-        raise RuntimeError("recurrence lost monicity")
-    roots = np.roots(coeffs[::-1])
-    deriv = poly.derivative()
-    polished = []
-    for r in roots:
-        d = deriv(r)
-        if d != 0:
-            r = r - poly(r) / d
-        polished.append(r)
-    polished = np.asarray(polished)
-    scale = max(1.0, float(np.max(np.abs(polished))))
-    bad = np.abs(polished.imag) > 1e-8 * scale
-    if np.any(bad):
+    diag, off = _jacobi(sector, int(n_hat), (1.0 + beta) * zeta)
+    shift = beta * (zeta * zeta)
+    if not (np.all(np.isfinite(off)) and np.isfinite(shift)):
         raise PreconditionError(
-            f"complex roots encountered in the {sector} sector at "
-            f"zeta={zeta}, beta={beta}: {polished[bad]}")
-    lambdas = np.sort(polished.real)
-    merged = [lambdas[0]]
-    for x in lambdas[1:]:
-        if abs(x - merged[-1]) > 1e-9 * (1.0 + abs(x)):
-            merged.append(x)
-    lambdas = np.array(merged)
-    energies = np.array([lam - beta * zeta ** 2 for lam in lambdas])
-
-    weights = []
-    lo = 0 if sector == "cos" else 1
-    polys = recurrence_polynomials(sector, int(n_hat) - 1, p) if n_hat > lo else []
-    for lam in lambdas:
-        w = np.array([series_coefficient(n, p) * polys[i](lam)
-                      for i, n in enumerate(range(lo, n_hat))])
-        weights.append(w)
-    return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, energies, weights)
+            f"zeta={zeta} overflows the {sector} sector recurrence at beta={beta}")
+    lambdas = eigh_tridiagonal(diag, off, eigvals_only=True)
+    return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, lambdas - shift)
 
 
 def closed_form_eigenvalues(sector, n_hat, gamma):
@@ -279,51 +246,58 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
                          order=64):
     """Fourier modes of one terminating eigenfunction, |n| <= order.
 
+    lam_value must lie within 1e-8 max(1, |lam|) of an eigenvalue of the
+    sector's Jacobi matrix.  Its eigenvector v gives the series weights
+    c_n P_n(lam), whose neighbours differ by v_n off_n / (v_{n-1} gamma
+    (n_hat + n - 1)); the sign is fixed by v's first component.
+
     frame 'H' multiplies the series by the bare-frame weight
     exp(-(zeta/2) cos theta); frame 'h' uses exp(-(gamma/4) cos(theta +
     shift)) and rotates each mode by exp(i n shift).  The mode vector is
     L2-normalized.  A relative tail mass above 1e-12 outside the window
     means the truncation is too small and raises.
     """
+    from scipy.special import ive
+
     _check_sector(sector)
     if not p.is_quantized(n_hat):
         raise PreconditionError(
             f"level {p.level} is not quantized at n_hat={n_hat}")
-    if p.zeta == 0.0:
-        raise PreconditionError("series eigenfunctions need zeta != 0")
+    if p.gamma == 0.0:
+        raise PreconditionError("series eigenfunctions need zeta (1 + beta) != 0")
     if frame not in ("H", "h"):
         raise PreconditionError(f"frame must be 'H' or 'h', got {frame!r}")
     nh = int(n_hat)
     lo = 0 if sector == "cos" else 1
     if nh - 1 < lo:
         raise PreconditionError(f"{sector} sector needs n_hat >= {lo + 1}")
-    poly = recurrence_polynomial(sector, nh, p)
-    scale = max(1.0, float(np.max(np.abs(poly.coeffs))))
-    if abs(poly(lam_value)) > 1e-8 * scale * max(1.0, abs(lam_value) ** poly.degree):
+    if nh - 1 > order:
         raise PreconditionError(
-            f"lam={lam_value} is not a root of the {sector} sector polynomial")
-
-    polys = recurrence_polynomials(sector, nh - 1, p) if nh - 1 >= lo else []
-    terms = [series_coefficient(n, p) * polys[i](lam_value)
-             for i, n in enumerate(range(lo, nh))]
+            f"the series reaches |n| = {nh - 1} > order = {order}; "
+            "increase the truncation order")
+    diag, off = _jacobi(sector, nh, p.gamma)
+    tol = 1e-8 * max(1.0, abs(lam_value))
+    found, vecs = eigh_tridiagonal(diag, off, select="v",
+                                   select_range=(lam_value - tol, lam_value + tol))
+    if found.size == 0:
+        raise PreconditionError(
+            f"lam={lam_value} is not an eigenvalue of the {sector} sector")
+    v = vecs[:, np.argmin(np.abs(found - lam_value))]
+    ns = np.arange(lo, nh)
+    first = 1.0 if sector == "cos" else np.sign(p.gamma)  # sign of c_lo P_lo
+    ratios = off / (p.gamma * (nh + ns[1:] - 1.0))
+    terms = np.cumprod(np.r_[first, ratios]) * v * np.copysign(1.0, v[0])
 
     ext = order + 16
     series = np.zeros(2 * ext + 1, dtype=complex)
     mid = ext
-    for n, w in zip(range(lo, nh), terms):
-        if sector == "cos":
-            if n == 0:
-                series[mid] += w
-            else:
-                series[mid + n] += 0.5 * w
-                series[mid - n] += 0.5 * w
-        else:
-            series[mid + n] += -0.5j * w
-            series[mid - n] += 0.5j * w
+    half = 0.5 * terms if sector == "cos" else -0.5j * terms
+    series[mid + ns] += half
+    series[mid - ns] += half if sector == "cos" else -half
 
     z = -0.5 * p.zeta if frame == "H" else -0.25 * p.gamma
-    bess = bessel_i_array(2 * ext, z)
-    pref = np.array([bess[abs(k)] for k in range(-ext, ext + 1)])
+    # exponentially scaled I_|k|(z); the scale cancels in the normalization
+    pref = ive(np.abs(np.arange(-ext, ext + 1)), z)
     modes = np.convolve(pref, series)[ext:3 * ext + 1]  # central slice, len 2*ext+1
 
     if frame == "h" and shift != 0.0:

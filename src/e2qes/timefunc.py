@@ -29,6 +29,14 @@ class ExpressionError(ValueError):
     """A time-function expression cannot be parsed or leaves the grammar."""
 
 
+def _unknown_function(name):
+    """Parser stand-in for sympy's Function: any call outside the grammar."""
+    if not isinstance(name, str):
+        name = "Function"
+    raise ExpressionError(
+        f"function {name} not in the grammar ({', '.join(_FUNCTIONS)})")
+
+
 def _check_grammar(expr, parsed_text=False):
     extra = expr.free_symbols - {T}
     if extra:
@@ -39,9 +47,7 @@ def _check_grammar(expr, parsed_text=False):
         # expressions may use any function lambdify can evaluate
         for f in expr.atoms(sp.Function):
             if f.func not in _FUNCTIONS.values():
-                raise ExpressionError(
-                    f"function {f.func!s} not in the grammar "
-                    f"({', '.join(_FUNCTIONS)})")
+                _unknown_function(str(f.func))
     return expr
 
 
@@ -151,15 +157,19 @@ def _parse_text(text):
             local_dict={"t": T, **_FUNCTIONS},
             transformations=_TRANSFORMS,
             # just the literal constructors; unknown names become symbols
-            # and are rejected by the grammar check
+            # and are rejected by the grammar check, unknown calls are
+            # rejected by the Function stand-in
             global_dict={"Integer": sp.Integer, "Float": sp.Float,
-                         "Rational": sp.Rational, "Symbol": sp.Symbol},
+                         "Rational": sp.Rational, "Symbol": sp.Symbol,
+                         "Function": _unknown_function},
             evaluate=True,
         )
     except ExpressionError:
         raise
     except Exception as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
+    if not isinstance(expr, sp.Expr):  # e.g. a bare constructor name
+        raise ExpressionError(f"cannot parse expression {text!r}: not an expression")
     return _check_grammar(expr, parsed_text=True)
 
 

@@ -132,6 +132,34 @@ def test_observables(tmp_path):
     assert data["energies"]["zero"] == pytest.approx(4.0 - 0.075)
 
 
+def test_observables_strong_coupling(tmp_path, capsys):
+    # Bessel arguments gamma/2 = 130 lie past any small-argument routine
+    cfg = _cfg(tmp_path, "o.json",
+               {"zeta": 200, "beta": 0.3, "lambda": "0.4*sin(t)"})
+    assert main(["observables", "--input", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["maxClosedFormDeviation"] <= 1e-8
+
+
+def test_observables_overflowing_closed_forms_are_precondition_error(tmp_path, capsys):
+    # I_n(gamma/2) overflows past gamma ~ 1426; no NaN rows may pass
+    cfg = _cfg(tmp_path, "o.json",
+               {"zeta": 3000, "beta": 0.3, "lambda": "0.4*sin(t)"})
+    assert main(["observables", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: three-level closed forms overflow at gamma=3900.0\n"
+
+
+def test_spectrum_overflowing_zeta_is_precondition_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "s.json",
+               {"sector": "cos", "nHat": 3, "zeta": 1e308, "beta": 0.3})
+    assert main(["spectrum", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: zeta=1e+308 ")
+    assert captured.err.count("\n") == 1
+
+
 def test_observables_precondition(tmp_path):
     cfg = _cfg(tmp_path, "o.json",
                {"zeta": 0.0, "beta": 0.3, "lambda": "0"})

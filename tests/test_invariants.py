@@ -5,7 +5,7 @@ from e2qes.algebra import interior_norm
 from e2qes.invariants import (InvariantSpec, casimir_matrix,
                               commutation_residual, defining_residual,
                               invariant_rotating, invariant_rotating_derivative,
-                              invariant_static, lr_phase, similarity_residual)
+                              invariant_static, similarity_residual)
 from e2qes.model import ModelParams
 
 
@@ -63,8 +63,3 @@ def test_invariant_shift_is_casimir_multiple(spec):
     diff = I - H
     np.testing.assert_allclose(diff.entries,
                                weight * casimir_matrix(16).entries, atol=1e-15)
-
-
-def test_lr_phase():
-    assert lr_phase(2.5, 2.0) == -5.0
-    assert lr_phase(0.0, 7.0) == 0.0

@@ -1,19 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 from e2qes.model import ModelParams, PreconditionError, model_hamiltonian, realize
 from e2qes.qes import (LambdaPolynomial, closed_form_eigenvalues,
                        eigenfunction_series, factorization_residual,
-                       quantization_eigenvalues, recurrence_polynomial,
-                       recurrence_polynomials, series_coefficient)
+                       quantization_eigenvalues, recurrence_polynomials,
+                       series_coefficient)
 
 
 def test_lambda_polynomial_basics():
     p = LambdaPolynomial((1.0, -2.0, 3.0))  # 1 - 2 L + 3 L^2
-    assert p.degree == 2
     assert p(2.0) == pytest.approx(9.0)
-    dp = p.derivative()
-    assert dp(2.0) == pytest.approx(-2.0 + 12.0)
 
 
 def test_series_coefficient_reference_value():
@@ -27,13 +25,6 @@ def test_series_coefficient_guards():
         series_coefficient(1, ModelParams(zeta=0.0, beta=0.3, level=2.0))
     with pytest.raises(PreconditionError):
         series_coefficient(1, ModelParams(zeta=1.0, beta=0.5, level=-0.5))
-
-
-def test_recurrence_polynomial_single():
-    p = ModelParams(zeta=0.7, beta=0.4, level=1.8)
-    all_polys = recurrence_polynomials("cos", 5, p)
-    single = recurrence_polynomial("cos", 5, p)
-    np.testing.assert_allclose(single.coeffs, all_polys[5].coeffs)
 
 
 def test_cosine_seed_polynomials():
@@ -59,11 +50,71 @@ def test_three_level_reference_digits():
         spec.lambdas, [-0.38537208837531267, 4.385372088375313], atol=1e-12)
     np.testing.assert_allclose(
         spec.energies, [l - 0.3 * 0.25 for l in spec.lambdas], atol=0)
-    assert spec.weights is not None
-    np.testing.assert_allclose(spec.weights[0], [1.0, -0.29644006798100964],
-                               atol=1e-12)
-    np.testing.assert_allclose(spec.weights[1], [1.0, 3.3733631449040873],
-                               atol=1e-12)
+    # series weights (c_0 P_0, c_1 P_1) of each root, checked through the
+    # bare-frame modes exp(-(zeta/2) cos theta) (w0 + w1 cos theta) by FFT
+    p = ModelParams.quantized(2, 0.5, 0.3)
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    for lam, (w0, w1) in zip(spec.lambdas, [(1.0, -0.29644006798100964),
+                                            (1.0, 3.3733631449040873)]):
+        samples = np.exp(-0.25 * np.cos(theta)) * (w0 + w1 * np.cos(theta))
+        want = np.fft.fftshift(np.fft.fft(samples))[128 - 48:128 + 49]
+        want /= np.linalg.norm(want)
+        got = eigenfunction_series("cos", 2, float(lam), p, frame="H", order=48)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _sturm_changes(sector, n_hat, zeta, beta, x):
+    """Sign changes along the 50-digit recurrence (P_0..P_n_hat)(x).
+
+    The kernel is taken in its unfactored form at N = n_hat + (n_hat - 1)
+    beta; the count equals the number of roots of the last polynomial
+    above x.
+    """
+    z, b = mpmath.mpf(zeta), mpmath.mpf(beta)
+    N = n_hat + (n_hat - 1) * b
+    lo = 0 if sector == "cos" else 1
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    changes = 0
+    for n in range(lo, n_hat):
+        k = z ** 2 * (N + n * b + n - 1) * (N - (n - 1) * b - n)
+        if sector == "cos" and n == 1:
+            k *= 2
+        prev, cur = cur, (x - 4 * n ** 2) * cur - k * prev
+        changes += (cur < 0) != (prev < 0)
+    return changes
+
+
+@pytest.mark.parametrize("sector", ["cos", "sin"])
+@pytest.mark.parametrize("n_hat", [20, 31, 40, 60])
+def test_eigenvalues_match_high_precision_recurrence_roots(sector, n_hat):
+    # each eigenvalue must bracket, to 1e-12 relative, exactly one root of
+    # the recurrence polynomial evaluated with 50 digits, and the
+    # brackets must be disjoint and account for every root
+    with mpmath.workdps(50):
+        for zeta in (0.5, 2.0):
+            for beta in (0.3, -1.5):
+                lams = quantization_eigenvalues(sector, n_hat, zeta, beta).lambdas
+                assert len(lams) == n_hat - (0 if sector == "cos" else 1)
+                width = 1e-12 * np.maximum(1.0, np.abs(lams))
+                lo, hi = lams - width, lams + width
+                assert np.all(hi[:-1] < lo[1:])
+                for a, b in zip(lo, hi):
+                    inside = (_sturm_changes(sector, n_hat, zeta, beta, mpmath.mpf(a))
+                              - _sturm_changes(sector, n_hat, zeta, beta, mpmath.mpf(b)))
+                    assert inside == 1, (zeta, beta, a, b)
+
+
+@pytest.mark.parametrize("sector", ["cos", "sin"])
+@pytest.mark.parametrize("zeta,beta", [(0.5, 0.3), (2.0, -1.5)])
+def test_eigenfunction_at_high_level(sector, zeta, beta):
+    # lowest and highest root at n_hat = 40 against the dense operator
+    p = ModelParams.quantized(40, zeta, beta)
+    spec = quantization_eigenvalues(sector, 40, zeta, beta)
+    H = realize(model_hamiltonian(p), 0.0, 96).entries
+    for k in (0, len(spec.lambdas) - 1):
+        modes = eigenfunction_series(sector, 40, float(spec.lambdas[k]), p, order=96)
+        defect = H @ modes - spec.energies[k] * modes
+        assert np.linalg.norm(defect[8:-8]) <= 1e-12 * max(1.0, abs(spec.energies[k]))
 
 
 @pytest.mark.parametrize("sector,n_hat", [("cos", 1), ("cos", 2), ("cos", 3),
@@ -86,7 +137,6 @@ def test_free_rotor_limits():
     np.testing.assert_allclose(
         quantization_eigenvalues("sin", 4, 0.0, 0.3).lambdas,
         [4.0, 16.0, 36.0], atol=1e-12)
-    assert quantization_eigenvalues("cos", 3, 0.0, 0.3).weights is None
 
 
 def test_sector_validation():
@@ -155,3 +205,8 @@ def test_eigenfunction_tail_guard():
     spec = quantization_eigenvalues("cos", 2, 6.0, 0.3)
     with pytest.raises(PreconditionError):
         eigenfunction_series("cos", 2, float(spec.lambdas[0]), p, order=8)
+    # a series longer than the window itself
+    p = ModelParams.quantized(100, 0.5, 0.3)
+    spec = quantization_eigenvalues("cos", 100, 0.5, 0.3)
+    with pytest.raises(PreconditionError):
+        eigenfunction_series("cos", 100, float(spec.lambdas[0]), p, order=64)

@@ -29,6 +29,21 @@ def test_parse_rejects_foreign_names(bad):
         TimeFunction.parse(bad)
 
 
+@pytest.mark.parametrize("text,name", [("log(t)", "log"),
+                                       ("Function(t)", "Function")])
+def test_parse_names_unknown_function(text, name):
+    with pytest.raises(ExpressionError) as err:
+        TimeFunction.parse(text)
+    assert str(err.value) == (f"function {name} not in the grammar "
+                              "(sin, cos, tan, exp, sinh, cosh, tanh)")
+
+
+@pytest.mark.parametrize("text", ["Function", "Symbol", "sin", "t > 1"])
+def test_parse_rejects_non_expressions(text):
+    with pytest.raises(ExpressionError):
+        TimeFunction.parse(text)
+
+
 def test_parse_accepts_what_serialize_emits():
     # solver output uses tan, sinh and tanh; all seven grammar functions parse
     f = TimeFunction.parse("tan(t) + sinh(t) - cosh(t)*tanh(t) + exp(t)*sin(t)/cos(t)")
