@@ -9,13 +9,11 @@ and provides grid-based observables plus a deterministic verification
 battery.
 """
 
-from .algebra import (FourierBasis, OperatorMatrix, build_generators,
-                      commutator, interior_norm)
+from .algebra import build_generators, commutator, interior_norm
 from .dyson import (DysonParams, DysonSolution, ResidualCheckError,
-                    adjoint_closed_form, conjugate_coefficients,
-                    energy_operator, eta_inverse, eta_matrix,
-                    model_dyson_params, sample_compliant_inputs, solve_dyson,
-                    tdde_residual)
+                    adjoint_closed_form, conjugate_coefficients, eta_inverse,
+                    eta_matrix, model_dyson_params, sample_compliant_inputs,
+                    solve_dyson, tdde_residual)
 from .invariants import (InvariantSpec, commutation_residual,
                          defining_residual, invariant_rotating,
                          invariant_static, similarity_residual)
@@ -25,11 +23,10 @@ from .model import (CoefficientSet, ModelParams, PreconditionError, PtClass,
 from .observables import (QuadratureGrid, ThreeLevelSystem,
                           apply_coefficients, double_scaling_compare,
                           expectation, modes_to_grid, tdse_residual)
-from .qes import (LambdaPolynomial, QesSpectrum, closed_form_eigenvalues,
-                  eigenfunction_series, factorization_residual,
-                  quantization_eigenvalues, recurrence_polynomials,
-                  series_coefficient)
-from .timefunc import ExpressionError, TimeFunction, adaptive_simpson
+from .qes import (QesSpectrum, closed_form_eigenvalues, eigenfunction_series,
+                  factorization_residual, quantization_eigenvalues,
+                  recurrence_polynomials)
+from .timefunc import ExpressionError, TimeFunction
 from .verify import CheckResult, all_check_names, run_all
 
 __version__ = "0.1.0"
@@ -40,11 +37,8 @@ __all__ = [
     "DysonParams",
     "DysonSolution",
     "ExpressionError",
-    "FourierBasis",
     "InvariantSpec",
-    "LambdaPolynomial",
     "ModelParams",
-    "OperatorMatrix",
     "PreconditionError",
     "PtClass",
     "QesSpectrum",
@@ -52,7 +46,6 @@ __all__ = [
     "ResidualCheckError",
     "ThreeLevelSystem",
     "TimeFunction",
-    "adaptive_simpson",
     "adjoint_closed_form",
     "all_check_names",
     "apply_coefficients",
@@ -66,7 +59,6 @@ __all__ = [
     "defining_residual",
     "double_scaling_compare",
     "eigenfunction_series",
-    "energy_operator",
     "eta_inverse",
     "eta_matrix",
     "expectation",
@@ -83,7 +75,6 @@ __all__ = [
     "recurrence_polynomials",
     "run_all",
     "sample_compliant_inputs",
-    "series_coefficient",
     "similarity_residual",
     "solve_dyson",
     "tdde_residual",

@@ -7,7 +7,8 @@ rename), JSON uses two-space indentation, CSV uses comma-separated
 columns with a header row and LF line endings.
 
 Exit codes: 0 success, 1 residual or verification failure, 2 config or
-parse error, 3 precondition violation.
+parse error, 3 precondition violation (including arithmetic errors, such
+as overflow, while evaluating an expression).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 import tempfile
 
 from .dyson import ResidualCheckError, solve_dyson
-from .model import (CoefficientSet, ModelParams, PreconditionError, PtClass,
-                    classify_pt)
+from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, ModelParams,
+                    PreconditionError, PtClass, classify_pt)
 from .observables import (QuadratureGrid, ThreeLevelSystem,
                           double_scaling_compare, expectation, modes_to_grid)
 from .qes import SECTORS, eigenfunction_series, quantization_eigenvalues
@@ -146,7 +147,7 @@ def cmd_classify(args):
     data = _load_config(args, required=("coefficients",),
                         optional=("sampleTimes", "tolerance"))
     coeffs = _coefficients(data)
-    times = _number_list(data, "sampleTimes", (0.0, 0.37, 1.0, 2.5))
+    times = _number_list(data, "sampleTimes", DEFAULT_PROBE_TIMES)
     tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-12
     classes = classify_pt(coeffs, sample_times=times, tol=tol)
     _emit_json(args, sorted(c.value for c in classes))
@@ -165,7 +166,7 @@ def cmd_solve_dyson(args):
     coeffs = _coefficients(data)
     kwargs = {name: _expression(data, key)
               for key, name in (("lambda", "lam"), ("tau", "tau")) if key in data}
-    probe_times = _number_list(data, "probeTimes", (0.0, 0.37, 1.0, 2.5))
+    probe_times = _number_list(data, "probeTimes", DEFAULT_PROBE_TIMES)
     tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-8
     sol = solve_dyson(pt_class, coeffs, probe_times=probe_times,
                       order=args.truncation, tolerance=tol, **kwargs)
@@ -362,7 +363,7 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (ConfigError, ExpressionError) as exc:
         error, code = exc, EXIT_CONFIG
-    except PreconditionError as exc:
+    except (PreconditionError, ArithmeticError) as exc:
         error, code = exc, EXIT_PRECONDITION
     except ResidualCheckError as exc:
         error, code = exc, EXIT_FAILED

@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 from scipy.linalg import expm
 
-from .algebra import OperatorMatrix, build_generators, interior_norm
+from .algebra import build_generators, interior_norm
 from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, PreconditionError,
                     PtClass, classify_pt, is_hermitian, realize)
 from .timefunc import T, TimeFunction
@@ -111,7 +111,7 @@ def _coefficient_set(terms):
                            for k, v in terms.items()})
 
 
-_Frame = namedtuple("_Frame", "a b ch sh gauge energy")
+_Frame = namedtuple("_Frame", "a b ch sh gauge")
 
 
 def _frame_terms(params, value, lift, lib):
@@ -120,8 +120,8 @@ def _frame_terms(params, value, lift, lib):
     value reads a profile as a real number or expression, lift turns that
     into the scalar type, lib supplies cos, sin, cosh, sinh.  a and b mix
     J into u and v; ch, sh are cosh/sinh of the J-slot (cos, i sin when it
-    is imaginary); gauge and energy hold the {J, u, v} coefficients of
-    i (d eta/dt) eta^-1 and of i eta^-1 (d eta/dt).
+    is imaginary); gauge holds the {J, u, v} coefficients of
+    i (d eta/dt) eta^-1.
     """
     phases, fns = _PHASES[params.pt_class], (params.tau, params.lam, params.rho)
     L = value(params.lam)
@@ -136,19 +136,14 @@ def _frame_terms(params, value, lift, lib):
     gauge = {"J": 1j * d_lam,
              "u": 1j * (d_rho * ch) + tau * d_lam,
              "v": d_rho * sh + 1j * d_tau}
-    energy = {"J": 1j * d_lam,
-              "u": 1j * d_rho + d_tau * sh,
-              "v": rho * d_lam + 1j * (d_tau * ch)}
-    return _Frame(a, b, ch, sh, gauge, energy)
+    return _Frame(a, b, ch, sh, gauge)
 
 
 @functools.lru_cache(maxsize=128)
 def _frame(params):
     """:func:`_frame_terms` over sympy, the gauge sums added up."""
     sym = _frame_terms(params, lambda fn: fn.expr, lambda x: _Sym((x, sp.S.Zero)), sp)
-    gauge, energy = ({k: _Sym(v.parts()) for k, v in g.items()}
-                     for g in (sym.gauge, sym.energy))
-    return sym._replace(gauge=gauge, energy=energy)
+    return sym._replace(gauge={k: _Sym(v.parts()) for k, v in sym.gauge.items()})
 
 
 def _frame_at(params, t):
@@ -163,7 +158,7 @@ def _conjugate_table(mu, frame):
     carry imaginary u and v parts that pair with the uJ/vJ words of a
     Hermitian operator.
     """
-    a, b, ch, sh, g, _ = frame
+    a, b, ch, sh, g = frame
     return {
         "JJ": mu["JJ"],
         "J": mu["J"] + g["J"],
@@ -201,7 +196,7 @@ def _conjugate_at(coeffs, params, t):
 
 def adjoint_closed_form(generator, params, t):
     """Coefficients of eta g eta^{-1} over {J, u, v} for g in {J, u, v}."""
-    a, b, ch, sh, _, _ = _frame_at(params, t)
+    a, b, ch, sh, _ = _frame_at(params, t)
     closed = {"J": (1, a, b), "u": (0, ch, -1j * sh), "v": (0, 1j * sh, ch)}
     if generator not in closed:
         raise ValueError(f"generator must be 'J', 'u' or 'v', got {generator!r}")
@@ -213,35 +208,20 @@ def gauge_coefficients(params):
     return _coefficient_set(_frame(params).gauge)
 
 
-def energy_gauge_coefficients(params):
-    """Coefficient set of i eta^{-1} (d eta/dt): the frame-energy shift."""
-    return _coefficient_set(_frame(params).energy)
-
-
 def eta_matrix(params, t, order):
     """Dense frame map at time t: exp(tau_e v) exp(lam_e J) exp(rho_e u)."""
     J, u, v = build_generators(order)
     tau_e, lam_e, rho_e = params.effective(t)
-    diag = np.exp(lam_e * J.basis.modes().astype(complex))
-    left = expm(tau_e * v.entries)
-    right = expm(rho_e * u.entries)
-    return OperatorMatrix(J.basis, left @ (diag[:, None] * right))
+    diag = np.exp(lam_e * J.diagonal())
+    return expm(tau_e * v) @ (diag[:, None] * expm(rho_e * u))
 
 
 def eta_inverse(params, t, order):
     """Inverse of the frame map built from negated exponentials."""
     J, u, v = build_generators(order)
     tau_e, lam_e, rho_e = params.effective(t)
-    diag = np.exp(-lam_e * J.basis.modes().astype(complex))
-    left = expm(-rho_e * u.entries)
-    right = expm(-tau_e * v.entries)
-    return OperatorMatrix(J.basis, left @ (diag[:, None] * right))
-
-
-def energy_operator(coeffs, params, t, order):
-    """Generator of phase evolution in the mapped frame, pulled back:
-    realize(coeffs) + i eta^{-1} (d eta/dt)."""
-    return realize(coeffs, t, order) + realize(_frame_at(params, t).energy, t, order)
+    diag = np.exp(-lam_e * J.diagonal())
+    return expm(-rho_e * u) @ (diag[:, None] * expm(-tau_e * v))
 
 
 def tdde_residual(coeffs, h_coeffs, params, t, order=32, pad=4):

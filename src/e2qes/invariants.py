@@ -90,5 +90,5 @@ def similarity_residual(spec, t, order=64, pad=4):
     I_static = invariant_static(spec, order)
     direct = invariant_rotating(spec, t, order)
     conjugated = eta @ I_static @ eta_inv
-    diff = direct + (-1.0) * conjugated
+    diff = direct - conjugated
     return interior_norm(diff, pad) / (1.0 + interior_norm(direct, pad))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorMatrix, build_generators, interior_norm
+from .algebra import build_generators, interior_norm
 from .timefunc import TimeFunction
 
 COEFF_KEYS = ("JJ", "J", "u", "v", "uJ", "vJ", "uu", "vv", "uv")
@@ -70,14 +70,6 @@ class CoefficientSet:
         return (_as_timefunction(value), TimeFunction.zero())
 
     @classmethod
-    def from_constants(cls, **values):
-        return cls({k: complex(v) for k, v in values.items()})
-
-    @classmethod
-    def from_expressions(cls, **pairs):
-        return cls({k: (TimeFunction(re), TimeFunction(im)) for k, (re, im) in pairs.items()})
-
-    @classmethod
     def from_json_dict(cls, data):
         """Strict reader: exactly the nine mu* keys, each {re, im}."""
         if not isinstance(data, dict):
@@ -129,7 +121,7 @@ class CoefficientSet:
 
     def __repr__(self):
         nonzero = [k for k, (re, im) in self._terms.items()
-                   if not (re.is_zero and im.is_zero)]
+                   if not (re.expr == 0 and im.expr == 0)]
         return f"CoefficientSet(nonzero={nonzero})"
 
 
@@ -189,7 +181,9 @@ def _word_matrices(order):
     J, u, v = build_generators(order)
     words = {"JJ": J @ J, "J": J, "u": u, "v": v, "uJ": u @ J, "vJ": v @ J,
              "uu": u @ u, "vv": v @ v, "uv": u @ v}
-    return J.basis, {k: w.entries for k, w in words.items()}
+    for w in words.values():
+        w.setflags(write=False)
+    return words
 
 
 def realize(coeffs, t, order):
@@ -201,14 +195,14 @@ def realize(coeffs, t, order):
     non-Hermitian-looking coefficient splits still land on the intended
     operator.
     """
-    basis, words = _word_matrices(order)
+    words = _word_matrices(order)
     values = coeffs.at(t) if isinstance(coeffs, CoefficientSet) else coeffs
-    total = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    total = np.zeros_like(words["J"])
     for key in COEFF_KEYS:
         c = values.get(key, 0)
         if c != 0:
             total = total + c * words[key]
-    return OperatorMatrix(basis, total)
+    return total
 
 
 def is_hermitian(coeffs, t, order=64, pad=4):
@@ -217,7 +211,7 @@ def is_hermitian(coeffs, t, order=64, pad=4):
         raise PreconditionError(f"order must be at least {pad}")
     H = realize(coeffs, t, order)
     scale = interior_norm(H, pad)
-    return interior_norm(H - H.dagger(), pad) <= 1e-12 * (1.0 + scale)
+    return interior_norm(H - H.conj().T, pad) <= 1e-12 * (1.0 + scale)
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,6 @@ class ModelParams:
     def gamma(self):
         return (1.0 + self.beta) * self.zeta
 
-    @property
-    def g(self):
-        return self.level * self.zeta
-
     @classmethod
     def quantized(cls, n_hat, zeta, beta):
         if not isinstance(n_hat, (int, np.integer)) or n_hat < 1:
@@ -256,12 +246,12 @@ class ModelParams:
 
 def model_hamiltonian(p):
     """Coefficient set 4J^2 + 2i(1-beta) zeta uJ - beta zeta^2 v^2 + 2 zeta N v."""
-    return CoefficientSet.from_constants(
-        JJ=4.0,
-        uJ=2j * (1.0 - p.beta) * p.zeta,
-        vv=complex(-p.beta * p.zeta ** 2),
-        v=complex(2.0 * p.zeta * p.level),
-    )
+    return CoefficientSet({
+        "JJ": complex(4.0),
+        "uJ": 2j * (1.0 - p.beta) * p.zeta,
+        "vv": complex(-p.beta * p.zeta ** 2),
+        "v": complex(2.0 * p.zeta * p.level),
+    })
 
 
 def closed_form_counterpart(p, lam):

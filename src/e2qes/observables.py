@@ -30,10 +30,9 @@ def _bessel_i(orders, x):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform grid theta0 + 2 pi k / K with trapezoidal (= exact) weight."""
+    """Uniform grid 2 pi k / K with trapezoidal (= exact) weight."""
 
     n_nodes: int = 2048
-    theta0: float = 0.0
 
     def __post_init__(self):
         if self.n_nodes < 8:
@@ -41,7 +40,7 @@ class QuadratureGrid:
 
     @property
     def nodes(self):
-        return self.theta0 + 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+        return 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
 
     @property
     def weight(self):
@@ -71,7 +70,7 @@ def _as_samples(state, grid):
 
 
 def apply_mode_number(values, grid, power=1):
-    """(J^power f) on the grid via the FFT; grid offset drops out."""
+    """(J^power f) on the grid via the FFT."""
     freqs = np.fft.fftfreq(len(values), d=1.0 / len(values))
     return np.fft.ifft(np.fft.fft(values) * freqs ** power)
 
@@ -240,7 +239,7 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
     if k_low < 1:
         raise PreconditionError("k_low must be positive")
     J, u, v = build_generators(order)
-    limit = 4.0 * (J @ J).entries + 2.0 * float(g) * v.entries
+    limit = 4.0 * (J @ J) + 2.0 * float(g) * v
     limit_eigs = np.sort(eigvalsh(limit))[:k_low]
 
     rows = []
@@ -253,10 +252,10 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
             raise PreconditionError(
                 f"double-scaling comparison needs g/zeta >= 10, got {level}")
         p = ModelParams(zeta=zeta, beta=float(beta), level=level)
-        H = realize(model_hamiltonian(p), 0.0, order).entries
+        H = realize(model_hamiltonian(p), 0.0, order)
         tau = (1.0 - p.beta) * p.zeta / 4.0
-        eta = expm(tau * v.entries)
-        eta_inv = expm(-tau * v.entries)
+        eta = expm(tau * v)
+        eta_inv = expm(-tau * v)
         h = eta @ H @ eta_inv
         h = 0.5 * (h + h.conj().T)
         eigs = np.sort(eigvalsh(h))[:k_low]

@@ -23,16 +23,6 @@ from .model import PreconditionError
 SECTORS = ("cos", "sin")
 
 
-@dataclass(frozen=True)
-class LambdaPolynomial:
-    """Monic polynomial in the spectral variable, ascending coefficients."""
-
-    coeffs: tuple
-
-    def __call__(self, x):
-        return npoly.polyval(x, np.asarray(self.coeffs))
-
-
 def _check_sector(sector):
     if sector not in SECTORS:
         raise PreconditionError(f"sector must be 'cos' or 'sin', got {sector!r}")
@@ -45,9 +35,11 @@ def _kernel(n, p):
 
 
 def recurrence_polynomials(sector, n_max, p):
-    """All sector polynomials with subscripts up to n_max, ascending.
+    """All sector polynomials with subscripts up to n_max.
 
-    cos returns [P_0, ..., P_n_max]; sin returns [Q_1, ..., Q_n_max].
+    cos returns [P_0, ..., P_n_max]; sin returns [Q_1, ..., Q_n_max].  Each
+    is a monic polynomial in the spectral variable given as an array of
+    ascending coefficients.
     """
     _check_sector(sector)
     N, b, z = p.level, p.beta, p.zeta
@@ -74,29 +66,7 @@ def recurrence_polynomials(sector, n_max, p):
         polys.append(npoly.polysub(
             npoly.polymul([-4.0 * n ** 2, 1.0], polys[-1]),
             _kernel(n, p) * polys[-2]))
-    return [LambdaPolynomial(tuple(c)) for c in polys]
-
-
-def series_coefficient(n, p):
-    """Weight c_n multiplying the n-th sector polynomial in the series."""
-    if n < 0:
-        raise PreconditionError("series index must be nonnegative")
-    N, b, z = p.level, p.beta, p.zeta
-    if n == 0:
-        return 1.0
-    if z == 0.0:
-        raise PreconditionError("series weights are undefined at zeta = 0")
-    if N + b == 0.0:
-        raise PreconditionError("series weights diverge at N + beta = 0")
-    if 1.0 + b == 0.0:
-        raise PreconditionError("series weights diverge at beta = -1")
-    a = (1.0 + N + 2.0 * b) / (1.0 + b)
-    poch = 1.0
-    for j in range(n - 1):
-        poch *= a + j
-    if poch == 0.0:
-        raise PreconditionError(f"series weight c_{n} hits a zero factor")
-    return 1.0 / (z ** n * (N + b) * (1.0 + b) ** (n - 1) * poch)
+    return polys
 
 
 def _jacobi(sector, n_hat, gamma):
@@ -234,8 +204,8 @@ def factorization_residual(sector, n_hat, ell, p):
             1.0,
         ])
     polys = recurrence_polynomials(sector, nh + ell, p)
-    base = np.asarray(polys[nh - (0 if sector == "cos" else 1)].coeffs)
-    target = np.asarray(polys[nh + ell - (0 if sector == "cos" else 1)].coeffs)
+    base = polys[nh - (0 if sector == "cos" else 1)]
+    target = polys[nh + ell - (0 if sector == "cos" else 1)]
     product = npoly.polymul(cof, base)
     diff = npoly.polysub(target, product)
     scale = float(np.max(np.abs(target)))

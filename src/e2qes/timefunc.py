@@ -88,7 +88,10 @@ class TimeFunction:
     def __call__(self, t):
         if self._fn is None:
             self._fn = sp.lambdify(T, self.expr, modules=["math"])
-        return float(self._fn(t))
+        try:
+            return float(self._fn(t))
+        except ArithmeticError as exc:
+            raise type(exc)(f"evaluating {self.serialize()} at t={t!r}: {exc}") from exc
 
     def derivative(self):
         if self._deriv is None:
@@ -107,10 +110,6 @@ class TimeFunction:
             raise ExpressionError(
                 f"antiderivative of {self.expr} is not numerically evaluable") from exc
         return result
-
-    @property
-    def is_zero(self):
-        return sp.simplify(self.expr) == 0
 
     def __add__(self, other):
         return TimeFunction(self.expr + TimeFunction(other).expr)
@@ -172,32 +171,3 @@ def _parse_text(text):
         raise ExpressionError(f"cannot parse expression {text!r}: not an expression")
     return _check_grammar(expr, parsed_text=True)
 
-
-def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=30):
-    """Adaptive Simpson quadrature of a scalar callable over [a, b].
-
-    Used as the independent cross-check for symbolic antiderivatives.
-    """
-    if a == b:
-        return 0.0
-
-    def _simpson(fa, fm, fb, h):
-        return h * (fa + 4.0 * fm + fb) / 6.0
-
-    def _recurse(x0, f0, x2, f2, x1, f1, whole, eps, depth):
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = fn(xl)
-        fr = fn(xr)
-        left = _simpson(f0, fl, f1, x1 - x0)
-        right = _simpson(f1, fr, f2, x2 - x1)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (_recurse(x0, f0, x1, f1, xl, fl, left, 0.5 * eps, depth + 1)
-                + _recurse(x1, f1, x2, f2, xr, fr, right, 0.5 * eps, depth + 1))
-
-    fa, fb = fn(a), fn(b)
-    mid = 0.5 * (a + b)
-    fm = fn(mid)
-    return _recurse(a, fa, b, fb, mid, fm, _simpson(fa, fm, fb, b - a), tol, 0)

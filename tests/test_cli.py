@@ -19,6 +19,10 @@ MODEL_COEFFS = {
 }
 
 
+PT2_RUN = {"class": "PT2", "lambda": "0.4*sin(t)", "coefficients": MODEL_COEFFS}
+OVERFLOWING_MUV = dict(MODEL_COEFFS, muV={"re": "exp(1000*t)", "im": 0})
+
+
 def _cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -218,3 +222,23 @@ def test_quadrature_below_eight_is_config_error(tmp_path, capsys):
     assert main(["wavefunctions", "--input", cfg, "--quadrature", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: --quadrature must be >= 8\n"
+
+
+@pytest.mark.parametrize("sub,payload,err", [
+    ("solve-dyson", dict(PT2_RUN, **{"lambda": "1/t"}),
+     "1/t at t=0.0: float division by zero"),
+    ("solve-dyson", dict(PT2_RUN, **{"lambda": "exp(1000*t)"}),
+     "exp(1000*t) at t=1.0: math range error"),
+    ("solve-dyson", dict(PT2_RUN, coefficients=OVERFLOWING_MUV),
+     "exp(1000*t) at t=1.0: math range error"),
+    ("classify", {"coefficients": OVERFLOWING_MUV},
+     "exp(1000*t) at t=1.0: math range error"),
+], ids=["lambda-zero-division", "lambda-overflow", "muV-overflow",
+        "classify-muV-overflow"])
+def test_arithmetic_error_in_expression_is_precondition_error(
+        tmp_path, capsys, sub, payload, err):
+    cfg = _cfg(tmp_path, "a.json", payload)
+    assert main([sub, "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: evaluating {err}\n"

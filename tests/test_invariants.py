@@ -17,7 +17,7 @@ def spec():
 
 def test_casimir_matrix_structure():
     C = casimir_matrix(8)
-    d = C.entries - np.eye(17)
+    d = C - np.eye(17)
     assert d[0, 0] == pytest.approx(-0.5)
     assert d[-1, -1] == pytest.approx(-0.5)
     assert np.linalg.norm(d[1:-1, 1:-1]) == 0.0
@@ -61,5 +61,4 @@ def test_invariant_shift_is_casimir_multiple(spec):
     H = realize(model_hamiltonian(spec.params), 0.0, 16)
     weight = spec.params.beta * spec.params.zeta ** 2
     diff = I - H
-    np.testing.assert_allclose(diff.entries,
-                               weight * casimir_matrix(16).entries, atol=1e-15)
+    np.testing.assert_allclose(diff, weight * casimir_matrix(16), atol=1e-15)

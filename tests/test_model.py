@@ -9,34 +9,35 @@ from e2qes.timefunc import TimeFunction
 
 
 def test_coefficient_coercion():
-    c = CoefficientSet.from_constants(JJ=4.0, uJ=0.7j)
+    c = CoefficientSet({"JJ": 4.0, "uJ": 0.7j})
     assert c.value("JJ", 1.0) == 4.0 + 0.0j
     assert c.value("uJ", 0.3) == 0.7j
     assert c.value("uv", 5.0) == 0.0
+    assert repr(c) == "CoefficientSet(nonzero=['JJ', 'uJ'])"
 
 
 def test_coefficient_expressions():
-    c = CoefficientSet.from_expressions(J=("sin(t)", 0), u=(0, "t"))
+    c = CoefficientSet({"J": ("sin(t)", 0), "u": (0, "t")})
     assert c.value("J", 0.5) == pytest.approx(np.sin(0.5))
     assert c.value("u", 0.5) == pytest.approx(0.5j)
 
 
 def test_coefficient_derivative():
-    c = CoefficientSet.from_expressions(J=("t^2", "3*t"))
+    c = CoefficientSet({"J": ("t^2", "3*t")})
     d = c.derivative()
     assert d.value("J", 2.0) == pytest.approx(4.0 + 3.0j)
 
 
 def test_coefficient_addition():
-    a = CoefficientSet.from_constants(J=1.0)
-    b = CoefficientSet.from_constants(J=0.5j, v=2.0)
+    a = CoefficientSet({"J": 1.0})
+    b = CoefficientSet({"J": 0.5j, "v": 2.0})
     s = a + b
     assert s.value("J", 0.0) == 1.0 + 0.5j
     assert s.value("v", 0.0) == 2.0
 
 
 def test_json_round_trip():
-    c = CoefficientSet.from_expressions(JJ=(4, 0), uJ=(0, "0.7*cos(t)"))
+    c = CoefficientSet({"JJ": (4, 0), "uJ": (0, "0.7*cos(t)")})
     data = c.to_json_dict()
     assert set(data) == {"muJ", "muJJ", "muU", "muV", "muUJ", "muVJ",
                          "muUU", "muVV", "muUV"}
@@ -46,7 +47,7 @@ def test_json_round_trip():
 
 
 def test_json_strictness():
-    good = CoefficientSet.from_constants().to_json_dict()
+    good = CoefficientSet().to_json_dict()
     bad_extra = dict(good, muXX={"re": 0, "im": 0})
     with pytest.raises(ValueError):
         CoefficientSet.from_json_dict(bad_extra)
@@ -66,47 +67,45 @@ def test_classify_model_family():
 
 def test_classify_pure_classes():
     # one representative per class, built to the reality pattern
-    pt1 = CoefficientSet.from_constants(JJ=2.0, J=0.3j, u=0.1j, v=0.2j,
-                                        uJ=0.4, vJ=0.5, uu=0.6, vv=0.7, uv=0.8)
+    pt1 = CoefficientSet({"JJ": 2.0, "J": 0.3j, "u": 0.1j, "v": 0.2j,
+                          "uJ": 0.4, "vJ": 0.5, "uu": 0.6, "vv": 0.7, "uv": 0.8})
     assert PtClass.PT1 in classify_pt(pt1)
-    pt2 = CoefficientSet.from_constants(JJ=2.0, uJ=0.4j, vJ=0.5j,
-                                        u=0.1, v=0.2, uu=0.6, vv=0.7, uv=0.8)
+    pt2 = CoefficientSet({"JJ": 2.0, "uJ": 0.4j, "vJ": 0.5j,
+                          "u": 0.1, "v": 0.2, "uu": 0.6, "vv": 0.7, "uv": 0.8})
     assert PtClass.PT2 in classify_pt(pt2)
-    pt5 = CoefficientSet.from_constants(JJ=2.0, J=0.3, v=0.2j, vJ=0.5j,
-                                        uv=0.8j, u=0.1, uJ=0.4, uu=0.6, vv=0.7)
+    pt5 = CoefficientSet({"JJ": 2.0, "J": 0.3, "v": 0.2j, "vJ": 0.5j,
+                          "uv": 0.8j, "u": 0.1, "uJ": 0.4, "uu": 0.6, "vv": 0.7})
     assert PtClass.PT5 in classify_pt(pt5)
 
 
 def test_classify_time_dependent_reality():
     # imaginary-at-one-instant is not enough; the pattern must hold on the grid
-    c = CoefficientSet.from_expressions(JJ=(2.0, 0), J=(0, "t"), u=(0, "1-t"),
-                                        v=(0, "t^2"))
+    c = CoefficientSet({"JJ": (2.0, 0), "J": (0, "t"), "u": (0, "1-t"),
+                        "v": (0, "t^2")})
     assert PtClass.PT1 in classify_pt(c)
-    c2 = CoefficientSet.from_expressions(JJ=(2.0, 0), J=("t - 1", "t"))
+    c2 = CoefficientSet({"JJ": (2.0, 0), "J": ("t - 1", "t")})
     assert PtClass.PT1 not in classify_pt(c2)
 
 
 def test_realize_literal_order():
     J, u, v = build_generators(6)
-    c = CoefficientSet.from_constants(uJ=1.0)
+    c = CoefficientSet({"uJ": 1.0})
     H = realize(c, 0.0, 6)
-    np.testing.assert_allclose(H.entries, (u @ J).entries)
+    np.testing.assert_allclose(H, u @ J)
     # literal order matters: u @ J != J @ u
-    assert np.linalg.norm((u @ J - J @ u).entries) > 0.1
+    assert np.linalg.norm(u @ J - J @ u) > 0.1
 
 
 def test_realize_time_dependence():
-    c = CoefficientSet.from_expressions(J=("t", 0))
+    c = CoefficientSet({"J": ("t", 0)})
     H1 = realize(c, 1.0, 4)
     H2 = realize(c, 2.0, 4)
-    np.testing.assert_allclose(H2.entries, 2.0 * H1.entries)
+    np.testing.assert_allclose(H2, 2.0 * H1)
 
 
 def test_is_hermitian():
-    assert is_hermitian(CoefficientSet.from_constants(JJ=4.0, v=1.0), 0.0,
-                        order=16)
-    assert not is_hermitian(CoefficientSet.from_constants(J=1.0j), 0.0,
-                            order=16)
+    assert is_hermitian(CoefficientSet({"JJ": 4.0, "v": 1.0}), 0.0, order=16)
+    assert not is_hermitian(CoefficientSet({"J": 1.0j}), 0.0, order=16)
 
 
 def test_model_params_validation():
@@ -120,7 +119,6 @@ def test_model_params_derived_quantities():
     p = ModelParams.quantized(2, 0.5, 0.3)
     assert p.level == pytest.approx(2.3)
     assert p.gamma == pytest.approx(0.65)
-    assert p.g == pytest.approx(1.15)
     assert p.is_quantized(2)
     assert not p.is_quantized(3)
 

@@ -3,45 +3,26 @@ import numpy as np
 import pytest
 
 from e2qes.model import ModelParams, PreconditionError, model_hamiltonian, realize
-from e2qes.qes import (LambdaPolynomial, closed_form_eigenvalues,
-                       eigenfunction_series, factorization_residual,
-                       quantization_eigenvalues, recurrence_polynomials,
-                       series_coefficient)
-
-
-def test_lambda_polynomial_basics():
-    p = LambdaPolynomial((1.0, -2.0, 3.0))  # 1 - 2 L + 3 L^2
-    assert p(2.0) == pytest.approx(9.0)
-
-
-def test_series_coefficient_reference_value():
-    # c_2 at (zeta, beta, N) = (1, 0, 3) is 1/12
-    p = ModelParams(zeta=1.0, beta=0.0, level=3.0)
-    assert series_coefficient(2, p) == pytest.approx(1.0 / 12.0, abs=1e-15)
-
-
-def test_series_coefficient_guards():
-    with pytest.raises(PreconditionError):
-        series_coefficient(1, ModelParams(zeta=0.0, beta=0.3, level=2.0))
-    with pytest.raises(PreconditionError):
-        series_coefficient(1, ModelParams(zeta=1.0, beta=0.5, level=-0.5))
+from e2qes.qes import (closed_form_eigenvalues, eigenfunction_series,
+                       factorization_residual, quantization_eigenvalues,
+                       recurrence_polynomials)
 
 
 def test_cosine_seed_polynomials():
     p = ModelParams(zeta=0.6, beta=0.2, level=2.1)
     polys = recurrence_polynomials("cos", 2, p)
-    np.testing.assert_allclose(polys[0].coeffs, [1.0])
-    np.testing.assert_allclose(polys[1].coeffs, [0.0, 1.0])
+    np.testing.assert_allclose(polys[0], [1.0])
+    np.testing.assert_allclose(polys[1], [0.0, 1.0])
     # quadratic seed carries the minus sign in the constant term
     const = -2.0 * p.zeta ** 2 * (p.level - 1.0) * (p.level + p.beta)
-    np.testing.assert_allclose(polys[2].coeffs, [const, -4.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(polys[2], [const, -4.0, 1.0], atol=1e-14)
 
 
 def test_sine_seed_polynomials():
     p = ModelParams(zeta=0.6, beta=0.2, level=2.1)
     polys = recurrence_polynomials("sin", 2, p)
-    np.testing.assert_allclose(polys[0].coeffs, [1.0])
-    np.testing.assert_allclose(polys[1].coeffs, [-4.0, 1.0])
+    np.testing.assert_allclose(polys[0], [1.0])
+    np.testing.assert_allclose(polys[1], [-4.0, 1.0])
 
 
 def test_three_level_reference_digits():
@@ -110,7 +91,7 @@ def test_eigenfunction_at_high_level(sector, zeta, beta):
     # lowest and highest root at n_hat = 40 against the dense operator
     p = ModelParams.quantized(40, zeta, beta)
     spec = quantization_eigenvalues(sector, 40, zeta, beta)
-    H = realize(model_hamiltonian(p), 0.0, 96).entries
+    H = realize(model_hamiltonian(p), 0.0, 96)
     for k in (0, len(spec.lambdas) - 1):
         modes = eigenfunction_series(sector, 40, float(spec.lambdas[k]), p, order=96)
         defect = H @ modes - spec.energies[k] * modes
@@ -169,7 +150,7 @@ def test_eigenfunction_is_matrix_eigenvector():
     # eigenvector of the dense operator away from the truncation edge
     p = ModelParams.quantized(3, 0.4, 0.25)
     spec = quantization_eigenvalues("cos", 3, 0.4, 0.25)
-    H = realize(model_hamiltonian(p), 0.0, 48).entries
+    H = realize(model_hamiltonian(p), 0.0, 48)
     for lam, energy in zip(spec.lambdas, spec.energies):
         modes = eigenfunction_series("cos", 3, float(lam), p, order=48)
         defect = H @ modes - energy * modes
@@ -179,7 +160,7 @@ def test_eigenfunction_is_matrix_eigenvector():
 def test_eigenfunction_sine_sector_eigenvector():
     p = ModelParams.quantized(2, 0.5, 0.3)
     spec = quantization_eigenvalues("sin", 2, 0.5, 0.3)
-    H = realize(model_hamiltonian(p), 0.0, 48).entries
+    H = realize(model_hamiltonian(p), 0.0, 48)
     modes = eigenfunction_series("sin", 2, float(spec.lambdas[0]), p, order=48)
     defect = H @ modes - spec.energies[0] * modes
     assert np.linalg.norm(defect[8:-8]) <= 1e-9
