@@ -8,7 +8,7 @@ columns with a header row and LF line endings.
 
 Exit codes: 0 success, 1 residual or verification failure, 2 config or
 parse error, 3 precondition violation (including arithmetic errors, such
-as overflow, while evaluating an expression).
+as overflow or a complex value, while evaluating an expression).
 """
 
 from __future__ import annotations

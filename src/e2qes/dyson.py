@@ -9,7 +9,7 @@ kept only as a cross-check through :func:`tdde_residual`.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -61,146 +61,99 @@ class DysonParams:
 
 
 # ---------------------------------------------------------------------------
-# The conjugation table is written once in +, -, * and 1j notation and read
-# over two scalar types: complex for the numeric self-checks, _Sym for the
+# The conjugation table follows from one set of adjoint images, read over
+# two scalar types: complex for the numeric self-checks, sympy for the
 # symbolic image that gets serialized.
 
 
-class _Sym:
-    """Complex sympy value as (re, im) parts, scaled by 1j or integers.
-
-    Products are expanded as they are formed; a sum keeps its terms and
-    becomes one sp.Add per part when read.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, *terms):
-        self.terms = terms
-
-    def parts(self):
-        if len(self.terms) == 1:
-            return self.terms[0]
-        return tuple(sp.Add(*part) for part in zip(*self.terms))
-
-    def __add__(self, other):
-        return _Sym(*self.terms, *other.terms)
-
-    def __neg__(self):
-        re, im = self.parts()
-        return _Sym((-re, -im))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        (p0, p1), (q0, q1) = self.parts(), other.parts()
-        return _Sym((sp.expand(p0 * q0 - p1 * q1), sp.expand(p0 * q1 + p1 * q0)))
-
-    def __rmul__(self, k):
-        re, im = self.parts()
-        if k == 1j:
-            return _Sym((-im, re))
-        if isinstance(k, int):
-            return _Sym((k * re, k * im))
-        return NotImplemented
-
-
 def _coefficient_set(terms):
-    return CoefficientSet({k: tuple(TimeFunction(sp.expand(x)) for x in v.parts())
-                           for k, v in terms.items()})
+    """CoefficientSet from word -> complex sympy expression, expanded once."""
+    pairs = {}
+    for k, x in terms.items():
+        re, im = sp.expand(x).as_independent(sp.I, as_Add=True)
+        im = sp.Add(*(term / sp.I for term in sp.Add.make_args(im)))
+        pairs[k] = (TimeFunction(re), TimeFunction(im))
+    return CoefficientSet(pairs)
 
 
-_Frame = namedtuple("_Frame", "a b ch sh gauge")
+_Frame = namedtuple("_Frame", "images gauge")
 
 
-def _frame_terms(params, value, lift, lib):
-    """The pieces of :class:`_Frame` in one scalar type.
+def _frame_terms(params, value, lib, i):
+    """:class:`_Frame` in one scalar type.
 
-    value reads a profile as a real number or expression, lift turns that
-    into the scalar type, lib supplies cos, sin, cosh, sinh.  a and b mix
-    J into u and v; ch, sh are cosh/sinh of the J-slot (cos, i sin when it
-    is imaginary); gauge holds the {J, u, v} coefficients of
-    i (d eta/dt) eta^-1.
+    value reads a profile as a real number or expression, lib supplies
+    cosh and sinh (cmath or sympy) and i is its imaginary unit.
+    images[g] holds the {J, u, v} coefficients of eta g eta^-1, gauge
+    those of i (d eta/dt) eta^-1.  With an imaginary J-slot, cosh and
+    sinh evaluate to cos and i sin.
     """
-    phases, fns = _PHASES[params.pt_class], (params.tau, params.lam, params.rho)
-    L = value(params.lam)
-    if params.pt_class is PtClass.PT1:
-        ch, sh = lift(lib.cosh(L)), lift(lib.sinh(L))
-    else:
-        ch, sh = lift(lib.cos(L)), 1j * lift(lib.sin(L))
-    tau, _, rho = (k * lift(value(f)) for k, f in zip(phases, fns))
-    d_tau, d_lam, d_rho = (k * lift(value(f.derivative())) for k, f in zip(phases, fns))
-    a = -(1j * tau + rho * sh)
-    b = 1j * (rho * ch)
-    gauge = {"J": 1j * d_lam,
-             "u": 1j * (d_rho * ch) + tau * d_lam,
-             "v": d_rho * sh + 1j * d_tau}
-    return _Frame(a, b, ch, sh, gauge)
+    phases = [i if k == 1j else 1 for k in _PHASES[params.pt_class]]
+    fns = (params.tau, params.lam, params.rho)
+    tau, lam, rho = (k * value(f) for k, f in zip(phases, fns))
+    d_tau, d_lam, d_rho = (k * value(f.derivative()) for k, f in zip(phases, fns))
+    ch, sh = lib.cosh(lam), lib.sinh(lam)
+    images = {"J": {"J": 1, "u": -(i * tau + rho * sh), "v": i * (rho * ch)},
+              "u": {"u": ch, "v": -i * sh},
+              "v": {"u": i * sh, "v": ch}}
+    gauge = {"J": i * d_lam,
+             "u": i * (d_rho * ch) + tau * d_lam,
+             "v": d_rho * sh + i * d_tau}
+    return _Frame(images, gauge)
 
 
-@functools.lru_cache(maxsize=128)
 def _frame(params):
-    """:func:`_frame_terms` over sympy, the gauge sums added up."""
-    sym = _frame_terms(params, lambda fn: fn.expr, lambda x: _Sym((x, sp.S.Zero)), sp)
-    return sym._replace(gauge={k: _Sym(v.parts()) for k, v in sym.gauge.items()})
+    """:func:`_frame_terms` over sympy."""
+    return _frame_terms(params, lambda fn: fn.expr, sp, sp.I)
 
 
 def _frame_at(params, t):
     """:func:`_frame_terms` over complex numbers at time t."""
-    return _frame_terms(params, lambda f: f(t), float, math)
+    return _frame_terms(params, lambda f: f(t), cmath, 1j)
 
 
-def _conjugate_table(mu, frame):
+def _conjugate_table(mu, frame, i):
     """The nine words of eta (sum_w mu_w w) eta^-1 + i (d eta/dt) eta^-1.
 
-    Output words are literal products (uJ = u then J), so the result can
-    carry imaginary u and v parts that pair with the uJ/vJ words of a
-    Hermitian operator.
+    A word maps to the product of its letters' images, put back in
+    normal order (J on the right) by Ju = uJ - i v, Jv = vJ + i u and
+    vu = uv.  Output words are literal products (uJ = u then J), so the
+    result can carry imaginary u and v parts that pair with the uJ/vJ
+    words of a Hermitian operator.
     """
-    a, b, ch, sh, g = frame
-    return {
-        "JJ": mu["JJ"],
-        "J": mu["J"] + g["J"],
-        "u": (a * mu["J"] + ch * mu["u"] + 1j * (sh * mu["v"])
-              + 1j * (b * mu["JJ"]) + g["u"]),
-        "v": (b * mu["J"] - 1j * (sh * mu["u"]) + ch * mu["v"]
-              - 1j * (a * mu["JJ"]) + g["v"]),
-        "uJ": 2 * (a * mu["JJ"]) + ch * mu["uJ"] + 1j * (sh * mu["vJ"]),
-        "vJ": 2 * (b * mu["JJ"]) - 1j * (sh * mu["uJ"]) + ch * mu["vJ"],
-        "uu": (a * (a * mu["JJ"]) + a * (ch * mu["uJ"])
-               + 1j * (a * (sh * mu["vJ"])) + ch * (ch * mu["uu"])
-               - sh * (sh * mu["vv"]) + 1j * (ch * (sh * mu["uv"]))),
-        "vv": (b * (b * mu["JJ"]) - 1j * (b * (sh * mu["uJ"]))
-               + b * (ch * mu["vJ"]) - sh * (sh * mu["uu"])
-               + ch * (ch * mu["vv"]) - 1j * (ch * (sh * mu["uv"]))),
-        "uv": (2 * (a * (b * mu["JJ"]))
-               + (b * ch - 1j * (a * sh)) * mu["uJ"]
-               + (a * ch + 1j * (b * sh)) * mu["vJ"]
-               - 2 * (1j * (ch * (sh * mu["uu"])))
-               + 2 * (1j * (ch * (sh * mu["vv"])))
-               + (ch * ch + sh * sh) * mu["uv"]),
-    }
+    images, gauge = frame
+    rules = {"Ju": {"uJ": 1, "v": -i}, "Jv": {"vJ": 1, "u": i}, "vu": {"uv": 1}}
+    table = dict.fromkeys(mu, 0)
+    for word, m in mu.items():
+        image = {"": m}
+        for letter in word:
+            image = {w + g: c * cg for w, c in image.items()
+                     for g, cg in images[letter].items()}
+        for w, c in image.items():
+            for key, r in rules.get(w, {w: 1}).items():
+                table[key] += c * r
+    for key, g in gauge.items():
+        table[key] += g
+    return table
 
 
 def conjugate_coefficients(coeffs, params):
     """Push a coefficient set through the frame map, gauge term included."""
-    mu = {k: _Sym((re.expr, im.expr)) for k, (re, im) in coeffs.items()}
-    return _coefficient_set(_conjugate_table(mu, _frame(params)))
+    mu = {k: re.expr + sp.I * im.expr for k, (re, im) in coeffs.items()}
+    return _coefficient_set(_conjugate_table(mu, _frame(params), sp.I))
 
 
 def _conjugate_at(coeffs, params, t):
     """Word -> complex value of :func:`conjugate_coefficients` at time t."""
-    return _conjugate_table(coeffs.at(t), _frame_at(params, t))
+    return _conjugate_table(coeffs.at(t), _frame_at(params, t), 1j)
 
 
 def adjoint_closed_form(generator, params, t):
     """Coefficients of eta g eta^{-1} over {J, u, v} for g in {J, u, v}."""
-    a, b, ch, sh, _ = _frame_at(params, t)
-    closed = {"J": (1, a, b), "u": (0, ch, -1j * sh), "v": (0, 1j * sh, ch)}
-    if generator not in closed:
+    images = _frame_at(params, t).images
+    if generator not in images:
         raise ValueError(f"generator must be 'J', 'u' or 'v', got {generator!r}")
-    return {k: complex(c) for k, c in zip("Juv", closed[generator])}
+    return {k: complex(images[generator].get(k, 0)) for k in "Juv"}
 
 
 def gauge_coefficients(params):

@@ -109,13 +109,6 @@ class CoefficientSet:
         return CoefficientSet(
             {k: (re.derivative(), im.derivative()) for k, (re, im) in self._terms.items()})
 
-    def __add__(self, other):
-        if not isinstance(other, CoefficientSet):
-            return NotImplemented
-        return CoefficientSet(
-            {k: (self._terms[k][0] + other._terms[k][0],
-                 self._terms[k][1] + other._terms[k][1]) for k in COEFF_KEYS})
-
     def items(self):
         return self._terms.items()
 

@@ -8,6 +8,7 @@ forms and doubles as the reference solution for time-dependent checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ def _as_samples(state, grid):
     return modes_to_grid(state, grid)
 
 
-def apply_mode_number(values, grid, power=1):
+def apply_mode_number(values, power=1):
     """(J^power f) on the grid via the FFT."""
     freqs = np.fft.fftfreq(len(values), d=1.0 / len(values))
     return np.fft.ifft(np.fft.fft(values) * freqs ** power)
@@ -81,8 +82,8 @@ def apply_coefficients(coeffs, t, state, grid):
     c = coeffs.at(t)
     sin = np.sin(grid.nodes)
     cos = np.cos(grid.nodes)
-    Jf = apply_mode_number(f, grid)
-    JJf = apply_mode_number(f, grid, power=2)
+    Jf = apply_mode_number(f)
+    JJf = apply_mode_number(f, power=2)
     return (c["JJ"] * JJf + c["J"] * Jf
             + c["u"] * sin * f + c["v"] * cos * f
             + c["uJ"] * sin * Jf + c["vJ"] * cos * Jf
@@ -99,7 +100,7 @@ def expectation(op_name, state, grid, norm_tol=1e-8):
     if abs(norm - 1.0) > norm_tol:
         raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     if op_name == "J":
-        g = apply_mode_number(f, grid)
+        g = apply_mode_number(f)
     elif op_name == "u":
         g = np.sin(grid.nodes) * f
     else:
@@ -190,17 +191,22 @@ class ThreeLevelSystem:
         if state not in STATE_NAMES:
             raise PreconditionError(f"state must be one of {STATE_NAMES}")
         g = self.gamma
-        x = grid.nodes + self.lam(t)
-        envelope = np.exp(-0.25 * g * np.cos(x))
+        # angle addition keeps the nodes when lam(t) is huge; math reduces it exactly
+        lam_t = self.lam(t)
+        sin_l, cos_l = math.sin(lam_t), math.cos(lam_t)
+        sin_n, cos_n = np.sin(grid.nodes), np.cos(grid.nodes)
+        sin_x = sin_n * cos_l + cos_n * sin_l
+        cos_x = cos_n * cos_l - sin_n * sin_l
+        envelope = np.exp(-0.25 * g * cos_x)
         energies = self.energies()
         phase = np.exp(-1j * energies[state] * t)
         if state == "zero":
             amp = np.sqrt(g) / (2.0 * np.sqrt(np.pi * self.normalization("zero")))
-            return amp * envelope * np.sin(x) * phase
+            return amp * envelope * sin_x * phase
         s = np.sqrt(1.0 + g * g)
         coef = 1.0 + s if state == "plus" else 1.0 - s
         amp = np.sqrt(g) / (2.0 * np.sqrt(np.pi * self.normalization(state)))
-        return amp * envelope * (g + coef * np.cos(x)) * phase
+        return amp * envelope * (g + coef * cos_x) * phase
 
     def superposition(self, amplitudes, t, grid):
         """sum_s a_s phi_s(t); phases are carried by the states themselves."""

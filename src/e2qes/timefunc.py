@@ -89,9 +89,14 @@ class TimeFunction:
         if self._fn is None:
             self._fn = sp.lambdify(T, self.expr, modules=["math"])
         try:
-            return float(self._fn(t))
-        except ArithmeticError as exc:
-            raise type(exc)(f"evaluating {self.serialize()} at t={t!r}: {exc}") from exc
+            value = self._fn(t)
+            if isinstance(value, complex):
+                raise ArithmeticError(f"complex value {value}")
+            return float(value)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            # TypeError, ValueError: a math function met a complex or out-of-domain value
+            kind = type(exc) if isinstance(exc, ArithmeticError) else ArithmeticError
+            raise kind(f"evaluating {self.serialize()} at t={t!r}: {exc}") from exc
 
     def derivative(self):
         if self._deriv is None:

@@ -21,6 +21,7 @@ MODEL_COEFFS = {
 
 PT2_RUN = {"class": "PT2", "lambda": "0.4*sin(t)", "coefficients": MODEL_COEFFS}
 OVERFLOWING_MUV = dict(MODEL_COEFFS, muV={"re": "exp(1000*t)", "im": 0})
+THREE_LEVEL_RUN = {"zeta": 0.5, "beta": 0.3, "lambda": "0.4*sin(t)"}
 
 
 def _cfg(tmp_path, name, payload):
@@ -233,8 +234,17 @@ def test_quadrature_below_eight_is_config_error(tmp_path, capsys):
      "exp(1000*t) at t=1.0: math range error"),
     ("classify", {"coefficients": OVERFLOWING_MUV},
      "exp(1000*t) at t=1.0: math range error"),
+    ("solve-dyson", dict(PT2_RUN, probeTimes=[-1.0, 0.5], **{"lambda": "t^0.5"}),
+     "t^0.5 at t=-1.0: complex value (6.123233995736766e-17+1j)"),
+    ("observables", dict(THREE_LEVEL_RUN, times=[-1.0], **{"lambda": "t^0.5"}),
+     "t^0.5 at t=-1.0: complex value (6.123233995736766e-17+1j)"),
+    # a huge frame angle must not wash out the sampled state before the
+    # expression itself overflows
+    ("observables", dict(THREE_LEVEL_RUN, **{"lambda": "exp(1000*t)"}),
+     "exp(1000*t) at t=1.0: math range error"),
 ], ids=["lambda-zero-division", "lambda-overflow", "muV-overflow",
-        "classify-muV-overflow"])
+        "classify-muV-overflow", "lambda-complex", "observables-lambda-complex",
+        "observables-lambda-overflow"])
 def test_arithmetic_error_in_expression_is_precondition_error(
         tmp_path, capsys, sub, payload, err):
     cfg = _cfg(tmp_path, "a.json", payload)

@@ -76,10 +76,11 @@ def test_gauge_matches_finite_difference():
     assert interior_norm(diff, 6) <= 1e-8 * (1.0 + interior_norm(analytic, 6))
 
 
-def test_conjugate_coefficients_matrix_oracle(rng):
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_conjugate_coefficients_matrix_oracle(cls, rng):
     # coefficient-level map vs dense h = eta H eta^{-1} + i eta-dot eta^{-1}
-    coeffs, kwargs = sample_compliant_inputs(PtClass.PT2, rng)
-    sol = solve_dyson(PtClass.PT2, coeffs, order=ORDER, **kwargs)
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    sol = solve_dyson(cls, coeffs, order=ORDER, **kwargs)
     for t in (0.0, 0.6):
         h_direct = realize(sol.h_coeffs, t, ORDER)
         eta = eta_matrix(sol.params, t, ORDER)

@@ -28,14 +28,6 @@ def test_coefficient_derivative():
     assert d.value("J", 2.0) == pytest.approx(4.0 + 3.0j)
 
 
-def test_coefficient_addition():
-    a = CoefficientSet({"J": 1.0})
-    b = CoefficientSet({"J": 0.5j, "v": 2.0})
-    s = a + b
-    assert s.value("J", 0.0) == 1.0 + 0.5j
-    assert s.value("v", 0.0) == 2.0
-
-
 def test_json_round_trip():
     c = CoefficientSet({"JJ": (4, 0), "uJ": (0, "0.7*cos(t)")})
     data = c.to_json_dict()

@@ -38,7 +38,7 @@ def test_apply_mode_number_offset_independent():
     grid = QuadratureGrid(n_nodes=64)
     for theta0 in (0.0, 0.9):
         f = np.exp(2j * (grid.nodes + theta0))
-        np.testing.assert_allclose(apply_mode_number(f, grid), 2.0 * f,
+        np.testing.assert_allclose(apply_mode_number(f), 2.0 * f,
                                    atol=1e-12)
 
 
@@ -138,6 +138,18 @@ def test_three_level_moments_match_quadrature():
         for op in ("u", "v", "J"):
             assert expectation(op, psi, grid) == pytest.approx(
                 closed[state][op], abs=1e-12)
+
+
+def test_three_level_moments_survive_large_frame_angle():
+    # nodes + lam would lose the nodes' digits; the angle is added exactly
+    grid = QuadratureGrid()
+    sys = ThreeLevelSystem.from_couplings(0.5, 0.3, "1e10 + 0.4*sin(t)")
+    for t in (0.0, 0.5, 1.0):
+        closed = sys.closed_form_expectations(t)
+        for state in ("plus", "minus", "zero"):
+            psi = sys.wavefunction(state, t, grid)
+            for op in ("u", "v", "J"):
+                assert abs(expectation(op, psi, grid) - closed[state][op]) <= 1e-12
 
 
 def test_superposition_linearity_and_norm():

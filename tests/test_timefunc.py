@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from e2qes.timefunc import ExpressionError, TimeFunction
@@ -129,3 +131,36 @@ def test_vectorized_eval():
     ts = np.linspace(0, 1, 5)
     vals = np.array([f(t) for t in ts])
     np.testing.assert_allclose(vals, np.cos(ts), atol=1e-15)
+
+
+# grammar text: exponents stay small literals or t, so parsing never builds
+# huge exact integers
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["t", "0", "1", "2", "0.5", "3.7", "1e3", "t^2", "t^3"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(sub, st.sampled_from(["0.5", "(1/2)", "(1/3)", "-1", "1.5", "t"]))
+        .map(lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "sinh", "cosh", "tanh"]), sub)
+        .map(lambda p: f"{p[0]}({p[1]})"),
+        sub.map(lambda x: f"-({x})"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=_EXPRESSIONS, t=st.floats(allow_nan=False, allow_infinity=False))
+def test_evaluation_is_real_or_arithmetic_error(text, t):
+    try:
+        f = TimeFunction.parse(text)
+    except ExpressionError:
+        # sympy may rewrite grammar text into a function outside it,
+        # e.g. (t^2)^0.5 -> Abs(t); that refusal happens at parse time
+        reject()
+    try:
+        value = f(t)
+    except ArithmeticError as exc:
+        assert f"at t={t!r}" in str(exc)
+    else:
+        assert type(value) is float
