@@ -7,8 +7,8 @@ rename), JSON uses two-space indentation, CSV uses comma-separated
 columns with a header row and LF line endings.
 
 Exit codes: 0 success, 1 residual or verification failure, 2 config or
-parse error, 3 precondition violation (including arithmetic errors, such
-as overflow or a complex value, while evaluating an expression).
+parse error, 3 precondition violation (including arithmetic errors while
+evaluating an expression: overflow, a complex or a non-finite value).
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 
 from .dyson import ResidualCheckError, solve_dyson
 from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, ModelParams,
                     PreconditionError, PtClass, classify_pt)
-from .observables import (QuadratureGrid, ThreeLevelSystem,
+from .observables import (OP_NAMES, STATE_NAMES, QuadratureGrid, ThreeLevelSystem,
                           double_scaling_compare, expectation, modes_to_grid)
 from .qes import SECTORS, eigenfunction_series, quantization_eigenvalues
 from .timefunc import ExpressionError, TimeFunction
@@ -62,76 +63,37 @@ def _emit_json(args, payload):
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
-def _load_config(args, required, optional):
-    if not args.input:
-        raise ConfigError("--input is required for this command")
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {args.input}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("top-level configuration must be a JSON object")
-    unknown = set(data) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    missing = set(required) - set(data)
-    if missing:
-        raise ConfigError(f"missing configuration keys: {sorted(missing)}")
-    return data
-
-
-def _as_number(data, key, lo=None, hi=None):
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{key} must be a number")
-    val = float(val)
+def _number(key, val, lo=None):
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not -sys.float_info.max <= val <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number")
     if lo is not None and val < lo:
         raise ConfigError(f"{key} must be >= {lo}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{key} must be <= {hi}")
-    return val
+    return float(val)
 
 
-def _as_int(data, key, lo=None):
-    val = data[key]
+def _integer(key, val, lo):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{key} must be an integer")
-    if lo is not None and val < lo:
+    if val < lo:
         raise ConfigError(f"{key} must be >= {lo}")
     return val
 
 
-def _as_sector(data):
-    sector = data["sector"]
-    if sector not in SECTORS:
-        raise ConfigError(f"sector must be one of {SECTORS}")
-    return sector
+def _choice(key, val, options):
+    if val not in options:
+        raise ConfigError(f"{key} must be one of {options}")
+    return val
 
 
-def _coefficients(data):
-    try:
-        return CoefficientSet.from_json_dict(data["coefficients"])
-    except (ValueError, ExpressionError) as exc:
-        raise ConfigError(f"bad coefficients: {exc}") from exc
+def _list(key, val, item):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{key} must be a non-empty list")
+    return tuple(item(f"{key}[{i}]", x) for i, x in enumerate(val))
 
 
-def _number_list(data, key, default=None):
-    if key not in data:
-        return default
-    values = data[key]
-    if (not isinstance(values, list) or not values
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in values)):
-        raise ConfigError(f"{key} must be a non-empty list of numbers")
-    return tuple(float(x) for x in values)
-
-
-def _expression(data, key):
-    val = data[key]
-    if not isinstance(val, (str, int, float)) or isinstance(val, bool):
+def _expression(key, val):
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
         raise ConfigError(f"{key} must be an expression string or number")
     try:
         return TimeFunction.parse(str(val))
@@ -139,39 +101,92 @@ def _expression(data, key):
         raise ConfigError(f"bad {key} expression: {exc}") from exc
 
 
+def _coefficients(key, val):
+    try:
+        return CoefficientSet.from_json_dict(val)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+# Each subcommand's config: JSON key -> (reader, default).  A reader takes
+# (key, value) and returns the parsed value or raises ConfigError naming
+# the key; REQUIRED keys have no default.
+REQUIRED = object()
+_NONNEGATIVE = partial(_number, lo=0.0)
+_NUMBERS = partial(_list, item=_number)
+_SPECTRUM = {"sector": (partial(_choice, options=SECTORS), REQUIRED),
+             "nHat": (partial(_integer, lo=1), REQUIRED),
+             "zeta": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED)}
+SCHEMAS = {
+    "classify": {"coefficients": (_coefficients, REQUIRED),
+                 "sampleTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
+                 "tolerance": (_NONNEGATIVE, 1e-12)},
+    "solve-dyson": {
+        "class": (partial(_choice, options=tuple(c.value for c in PtClass)), REQUIRED),
+        "coefficients": (_coefficients, REQUIRED),
+        "lambda": (_expression, None), "tau": (_expression, None),
+        "probeTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
+        "tolerance": (_NONNEGATIVE, 1e-8)},
+    "spectrum": _SPECTRUM,
+    "wavefunctions": dict(_SPECTRUM, rootIndex=(partial(_integer, lo=0), REQUIRED),
+                          frame=(partial(_choice, options=("H", "h")), "H"),
+                          shift=(_number, 0.0)),
+    "observables": {"zeta": (_number, REQUIRED), "beta": (_number, REQUIRED),
+                    "lambda": (_expression, REQUIRED),
+                    "times": (_NUMBERS, (0.0, 0.5, 1.0)),
+                    "tolerance": (_NONNEGATIVE, 1e-8)},
+    "verify": {"checks": (partial(_list, item=partial(
+        _choice, options=tuple(all_check_names()))), None)},
+    "double-scaling": {"g": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED),
+                       "zetas": (_NUMBERS, REQUIRED),
+                       "kLow": (partial(_integer, lo=1), 4)},
+}
+
+
+def _config(args):
+    """Read --input against the subcommand's schema and fill in defaults."""
+    schema = SCHEMAS[args.command]
+    data = {}
+    if args.input:
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"invalid JSON in {args.input}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("top-level configuration must be a JSON object")
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    missing = sorted(k for k, (_, default) in schema.items()
+                     if default is REQUIRED and k not in data)
+    if missing:
+        raise ConfigError(f"missing configuration keys: {missing}" if args.input
+                          else "--input is required for this command")
+    defaults = {key: default for key, (_, default) in schema.items()}
+    return dict(defaults, **{key: schema[key][0](key, val) for key, val in data.items()})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_classify(args):
-    data = _load_config(args, required=("coefficients",),
-                        optional=("sampleTimes", "tolerance"))
-    coeffs = _coefficients(data)
-    times = _number_list(data, "sampleTimes", DEFAULT_PROBE_TIMES)
-    tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-12
-    classes = classify_pt(coeffs, sample_times=times, tol=tol)
+def cmd_classify(args, cfg):
+    classes = classify_pt(cfg["coefficients"], sample_times=cfg["sampleTimes"],
+                          tol=cfg["tolerance"])
     _emit_json(args, sorted(c.value for c in classes))
     return EXIT_OK
 
 
-def cmd_solve_dyson(args):
-    data = _load_config(
-        args,
-        required=("class", "coefficients"),
-        optional=("lambda", "tau", "probeTimes", "tolerance"))
-    try:
-        pt_class = PtClass(data["class"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown class {data['class']!r}") from exc
-    coeffs = _coefficients(data)
-    kwargs = {name: _expression(data, key)
-              for key, name in (("lambda", "lam"), ("tau", "tau")) if key in data}
-    probe_times = _number_list(data, "probeTimes", DEFAULT_PROBE_TIMES)
-    tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-8
-    sol = solve_dyson(pt_class, coeffs, probe_times=probe_times,
-                      order=args.truncation, tolerance=tol, **kwargs)
+def cmd_solve_dyson(args, cfg):
+    sol = solve_dyson(PtClass(cfg["class"]), cfg["coefficients"],
+                      lam=cfg["lambda"], tau=cfg["tau"],
+                      probe_times=cfg["probeTimes"], order=args.truncation,
+                      tolerance=cfg["tolerance"])
     payload = {
-        "class": pt_class.value,
+        "class": cfg["class"],
         "phaseConvention": sol.params.phase_convention,
         "params": {
             "tau": sol.params.tau.serialize(),
@@ -187,40 +202,24 @@ def cmd_solve_dyson(args):
     return EXIT_OK
 
 
-def cmd_spectrum(args):
-    data = _load_config(args, required=("sector", "nHat", "zeta", "beta"),
-                        optional=())
-    sector = _as_sector(data)
-    n_hat = _as_int(data, "nHat", lo=1)
-    zeta = _as_number(data, "zeta", lo=0.0)
-    beta = _as_number(data, "beta")
-    spec = quantization_eigenvalues(sector, n_hat, zeta, beta)
+def cmd_spectrum(args, cfg):
+    spec = quantization_eigenvalues(cfg["sector"], cfg["nHat"], cfg["zeta"],
+                                    cfg["beta"])
     _emit_json(args, spec.to_json_dict())
     return EXIT_OK
 
 
-def cmd_wavefunctions(args):
-    data = _load_config(
-        args,
-        required=("sector", "nHat", "zeta", "beta", "rootIndex"),
-        optional=("frame", "shift"))
-    sector = _as_sector(data)
-    n_hat = _as_int(data, "nHat", lo=1)
-    zeta = _as_number(data, "zeta", lo=0.0)
-    beta = _as_number(data, "beta")
-    root_index = _as_int(data, "rootIndex", lo=0)
-    frame = data.get("frame", "H")
-    if frame not in ("H", "h"):
-        raise ConfigError("frame must be 'H' or 'h'")
-    shift = _as_number(data, "shift") if "shift" in data else 0.0
-    spec = quantization_eigenvalues(sector, n_hat, zeta, beta)
+def cmd_wavefunctions(args, cfg):
+    n_hat, zeta, beta, root_index = cfg["nHat"], cfg["zeta"], cfg["beta"], cfg["rootIndex"]
+    spec = quantization_eigenvalues(cfg["sector"], n_hat, zeta, beta)
     if root_index >= len(spec.lambdas):
         raise ConfigError(
             f"rootIndex {root_index} out of range; spectrum has "
             f"{len(spec.lambdas)} roots")
     p = ModelParams.quantized(n_hat, zeta, beta)
-    modes = eigenfunction_series(sector, n_hat, float(spec.lambdas[root_index]),
-                                 p, frame=frame, shift=shift,
+    modes = eigenfunction_series(cfg["sector"], n_hat,
+                                 float(spec.lambdas[root_index]), p,
+                                 frame=cfg["frame"], shift=cfg["shift"],
                                  order=args.truncation)
     grid = QuadratureGrid(n_nodes=args.quadrature)
     samples = modes_to_grid(modes, grid)
@@ -231,65 +230,35 @@ def cmd_wavefunctions(args):
     return EXIT_OK
 
 
-def cmd_observables(args):
-    data = _load_config(
-        args,
-        required=("zeta", "beta", "lambda"),
-        optional=("times", "tolerance"))
-    zeta = _as_number(data, "zeta")
-    beta = _as_number(data, "beta")
-    lam = _expression(data, "lambda")
-    times = _number_list(data, "times", (0.0, 0.5, 1.0))
-    tol = _as_number(data, "tolerance", lo=0.0) if "tolerance" in data else 1e-8
-    system = ThreeLevelSystem(ModelParams.quantized(2, zeta, beta), lam)
+def cmd_observables(args, cfg):
+    system = ThreeLevelSystem(ModelParams.quantized(2, cfg["zeta"], cfg["beta"]),
+                              cfg["lambda"])
     grid = QuadratureGrid(n_nodes=args.quadrature)
-    states = ("plus", "minus", "zero")
     rows = []
     worst = 0.0
-    for t in times:
+    for t in cfg["times"]:
         closed = system.closed_form_expectations(t)
-        for state in states:
+        for state in STATE_NAMES:
             samples = system.wavefunction(state, t, grid)
-            measured = {op: float(expectation(op, samples, grid))
-                        for op in ("u", "v", "J")}
-            dev = float(max(abs(measured[op] - closed[state][op])
-                            for op in ("u", "v", "J")))
+            measured = {op: float(expectation(op, samples, grid)) for op in OP_NAMES}
+            dev = float(max(abs(measured[op] - closed[state][op]) for op in OP_NAMES))
             worst = max(worst, dev)
-            rows.append({
-                "time": t,
-                "state": state,
-                "u": measured["u"],
-                "v": measured["v"],
-                "J": measured["J"],
-                "closedFormDeviation": dev,
-            })
+            rows.append({"time": t, "state": state, **measured,
+                         "closedFormDeviation": dev})
     payload = {
-        "zeta": zeta,
-        "beta": beta,
+        "zeta": cfg["zeta"],
+        "beta": cfg["beta"],
         "gamma": float(system.gamma),
         "energies": {k: float(v) for k, v in system.energies().items()},
         "rows": rows,
         "maxClosedFormDeviation": float(worst),
     }
     _emit_json(args, payload)
-    return EXIT_OK if worst <= tol else EXIT_FAILED
+    return EXIT_OK if worst <= cfg["tolerance"] else EXIT_FAILED
 
 
-def cmd_verify(args):
-    optional = ("checks",)
-    data = {}
-    if args.input:
-        data = _load_config(args, required=(), optional=optional)
-    names = None
-    if "checks" in data:
-        names = data["checks"]
-        if (not isinstance(names, list)
-                or not all(isinstance(n, str) for n in names)):
-            raise ConfigError("checks must be a list of check names")
-        unknown = set(names) - set(all_check_names())
-        if unknown:
-            raise ConfigError(f"unknown check names: {sorted(unknown)}")
-    results = run_all(names)
+def cmd_verify(args, cfg):
+    results = run_all(cfg["checks"])
     payload = {
         "checks": [r.to_json_dict() for r in results],
         "allPassed": all(r.passed for r in results),
@@ -298,20 +267,14 @@ def cmd_verify(args):
     return EXIT_OK if payload["allPassed"] else EXIT_FAILED
 
 
-def cmd_double_scaling(args):
-    data = _load_config(args, required=("g", "beta", "zetas"),
-                        optional=("kLow",))
-    g = _as_number(data, "g", lo=0.0)
-    beta = _as_number(data, "beta")
-    zetas = _number_list(data, "zetas")
-    k_low = _as_int(data, "kLow", lo=1) if "kLow" in data else 4
-    rows = double_scaling_compare(g, zetas, beta,
-                                  order=args.truncation, k_low=k_low)
+def cmd_double_scaling(args, cfg):
+    rows = double_scaling_compare(cfg["g"], cfg["zetas"], cfg["beta"],
+                                  order=args.truncation, k_low=cfg["kLow"])
     devs = [float(r["deviation"].max()) for r in rows]
     payload = {
-        "g": g,
-        "beta": beta,
-        "kLow": k_low,
+        "g": cfg["g"],
+        "beta": cfg["beta"],
+        "kLow": cfg["kLow"],
         "limit": [float(x) for x in rows[0]["limit"]],
         "rows": [{
             "zeta": r["zeta"],
@@ -360,7 +323,7 @@ def main(argv=None):
             raise ConfigError("--truncation must be >= 2")
         if args.quadrature < 8:
             raise ConfigError("--quadrature must be >= 8")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _config(args))
     except (ConfigError, ExpressionError) as exc:
         error, code = exc, EXIT_CONFIG
     except (PreconditionError, ArithmeticError) as exc:

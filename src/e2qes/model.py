@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,12 @@ class CoefficientSet:
             entry = data[json_key]
             if not isinstance(entry, dict) or set(entry) != {"re", "im"}:
                 raise ValueError(f"{json_key} must be an object with keys 're' and 'im'")
+            for part, value in entry.items():
+                if not (isinstance(value, str) or (
+                        isinstance(value, (int, float)) and not isinstance(value, bool)
+                        and abs(value) <= sys.float_info.max)):
+                    raise ValueError(
+                        f"{json_key}.{part} must be an expression string or a finite number")
             terms[key] = (_as_timefunction(entry["re"]), _as_timefunction(entry["im"]))
         return cls(terms)
 

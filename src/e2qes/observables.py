@@ -20,11 +20,11 @@ OP_NAMES = ("u", "v", "J")
 
 
 def _bessel_i(orders, x):
-    """I_n(x) for the three-level closed forms, which overflow past x ~ 713."""
+    """I_n(x) for the three-level closed forms, which scale it by up to 16 x^3."""
     from scipy.special import iv  # imported here to keep it out of `import e2qes`
 
     vals = iv(orders, x)
-    if not np.all(np.isfinite(vals)):
+    if not (np.all(np.isfinite(vals)) and 16.0 * x * x * x * float(np.max(vals)) < math.inf):
         raise PreconditionError(f"three-level closed forms overflow at gamma={2.0 * x}")
     return vals
 
@@ -144,8 +144,9 @@ class ThreeLevelSystem:
         if not self.params.is_quantized(2):
             raise PreconditionError(
                 f"three-level system requires level = 2 + beta, got {self.params.level}")
-        if self.params.zeta == 0.0:
-            raise PreconditionError("three-level closed forms need zeta != 0")
+        if not self.params.gamma > 0.0:
+            raise PreconditionError(
+                f"three-level closed forms need gamma = (1 + beta) zeta > 0, got {self.gamma}")
 
     @classmethod
     def from_couplings(cls, zeta, beta, lam):
@@ -168,12 +169,14 @@ class ThreeLevelSystem:
         """Quadratic normalization constants of the closed forms."""
         g = self.gamma
         i0, i1 = _bessel_i((0, 1), 0.5 * g)
-        if state == "zero":
-            return i1
         sgn = 1.0 if state == "plus" else -1.0
         s = np.sqrt(1.0 + g * g)
-        return (g * (1.0 + g * g + sgn * s) * i0
-                - (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i1)
+        norm = i1 if state == "zero" else (
+            g * (1.0 + g * g + sgn * s) * i0
+            - (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i1)
+        if not norm > 0.0:  # underflow or cancellation at small gamma
+            raise PreconditionError(f"three-level {state} normalization vanishes at gamma={g}")
+        return norm
 
     def moment(self, state):
         """First-moment constants entering <u> and <v> of the even states."""
@@ -199,6 +202,8 @@ class ThreeLevelSystem:
         cos_x = cos_n * cos_l - sin_n * sin_l
         envelope = np.exp(-0.25 * g * cos_x)
         energies = self.energies()
+        if not math.isfinite(float(energies[state]) * t):
+            raise PreconditionError(f"the {state} state's energy phase overflows at t={t}")
         phase = np.exp(-1j * energies[state] * t)
         if state == "zero":
             amp = np.sqrt(g) / (2.0 * np.sqrt(np.pi * self.normalization("zero")))
@@ -220,8 +225,8 @@ class ThreeLevelSystem:
         """<u>, <v>, <J> per state from the first-moment closed forms."""
         lam_t = self.lam(t)
         sin_l, cos_l = np.sin(lam_t), np.cos(lam_t)
-        i1, i2 = _bessel_i((1, 2), 0.5 * self.gamma)
-        ratio0 = i2 / i1
+        i2 = _bessel_i((1, 2), 0.5 * self.gamma)[1]
+        ratio0 = i2 / self.normalization("zero")  # I_2 / I_1, with I_1 tested > 0
         out = {"zero": {"u": ratio0 * sin_l, "v": -ratio0 * cos_l, "J": 0.0}}
         for state in ("plus", "minus"):
             r = self.moment(state) / self.normalization(state)
@@ -245,7 +250,10 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
     if k_low < 1:
         raise PreconditionError("k_low must be positive")
     J, u, v = build_generators(order)
-    limit = 4.0 * (J @ J) + 2.0 * float(g) * v
+    with np.errstate(over="ignore", invalid="ignore"):  # tested for overflow below
+        limit = 4.0 * (J @ J) + 2.0 * float(g) * v
+    if not np.all(np.isfinite(limit)):
+        raise PreconditionError(f"limit operator is not finite at g={g}")
     limit_eigs = np.sort(eigvalsh(limit))[:k_low]
 
     rows = []
@@ -258,11 +266,15 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
             raise PreconditionError(
                 f"double-scaling comparison needs g/zeta >= 10, got {level}")
         p = ModelParams(zeta=zeta, beta=float(beta), level=level)
-        H = realize(model_hamiltonian(p), 0.0, order)
-        tau = (1.0 - p.beta) * p.zeta / 4.0
-        eta = expm(tau * v)
-        eta_inv = expm(-tau * v)
-        h = eta @ H @ eta_inv
+        with np.errstate(over="ignore", invalid="ignore"):  # tested for overflow below
+            H = realize(model_hamiltonian(p), 0.0, order)
+            tau = (1.0 - p.beta) * p.zeta / 4.0
+            eta = expm(tau * v)
+            eta_inv = expm(-tau * v)
+            h = eta @ H @ eta_inv
+        if not np.all(np.isfinite(h)):
+            raise PreconditionError(
+                f"frame-shifted matrix is not finite at zeta={zeta}, beta={beta}")
         h = 0.5 * (h + h.conj().T)
         eigs = np.sort(eigvalsh(h))[:k_low]
         rows.append({

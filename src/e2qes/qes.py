@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .model import PreconditionError
 
@@ -67,6 +67,14 @@ def recurrence_polynomials(sector, n_max, p):
             npoly.polymul([-4.0 * n ** 2, 1.0], polys[-1]),
             _kernel(n, p) * polys[-2]))
     return polys
+
+
+def _eigh(diag, off, zeta, beta, **select):
+    try:
+        return eigh_tridiagonal(diag, off, **select)
+    except LinAlgError as exc:
+        raise PreconditionError(
+            f"the tridiagonal eigensolver failed at zeta={zeta}, beta={beta}: {exc}") from exc
 
 
 def _jacobi(sector, n_hat, gamma):
@@ -123,7 +131,7 @@ def quantization_eigenvalues(sector, n_hat, zeta, beta):
     if not (np.all(np.isfinite(off)) and np.isfinite(shift)):
         raise PreconditionError(
             f"zeta={zeta} overflows the {sector} sector recurrence at beta={beta}")
-    lambdas = eigh_tridiagonal(diag, off, eigvals_only=True)
+    lambdas = _eigh(diag, off, zeta, beta, eigvals_only=True)
     return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, lambdas - shift)
 
 
@@ -247,8 +255,8 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
             "increase the truncation order")
     diag, off = _jacobi(sector, nh, p.gamma)
     tol = 1e-8 * max(1.0, abs(lam_value))
-    found, vecs = eigh_tridiagonal(diag, off, select="v",
-                                   select_range=(lam_value - tol, lam_value + tol))
+    found, vecs = _eigh(diag, off, p.zeta, p.beta, select="v",
+                        select_range=(lam_value - tol, lam_value + tol))
     if found.size == 0:
         raise PreconditionError(
             f"lam={lam_value} is not an eigenvalue of the {sector} sector")
@@ -268,6 +276,8 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     z = -0.5 * p.zeta if frame == "H" else -0.25 * p.gamma
     # exponentially scaled I_|k|(z); the scale cancels in the normalization
     pref = ive(np.abs(np.arange(-ext, ext + 1)), z)
+    if not np.all(np.isfinite(pref)):  # scipy gives NaN past |z| ~ 2^30
+        raise PreconditionError(f"Bessel envelope is not finite at zeta={p.zeta}, beta={p.beta}")
     modes = np.convolve(pref, series)[ext:3 * ext + 1]  # central slice, len 2*ext+1
 
     if frame == "h" and shift != 0.0:

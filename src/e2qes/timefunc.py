@@ -2,14 +2,17 @@
 
 Coefficient profiles, pump functions and map parameters are all scalar
 functions of a single time variable built from the grammar
-``t, numbers, + - * / ^, sin, cos, tan, exp, sinh, cosh, tanh``, which
-covers what :meth:`TimeFunction.serialize` emits for solver output.
+``t, numbers, + - * / ^, sin, cos, tan, exp, sinh, cosh, tanh, Abs``,
+which covers what :meth:`TimeFunction.serialize` emits for solver output
+and what sympy makes of text such as ``(t^2)^0.5``.
 Wrapping sympy keeps the derivative exact (no step-size tuning in
 residual tests) and makes the antiderivative available for the one place
 it is needed.
 """
 
 from __future__ import annotations
+
+import math
 
 import sympy as sp
 from sympy.parsing.sympy_parser import (
@@ -21,7 +24,7 @@ from sympy.parsing.sympy_parser import (
 T = sp.Symbol("t", real=True)
 
 _FUNCTIONS = {f.__name__: f for f in (sp.sin, sp.cos, sp.tan, sp.exp,
-                                      sp.sinh, sp.cosh, sp.tanh)}
+                                      sp.sinh, sp.cosh, sp.tanh, sp.Abs)}
 _TRANSFORMS = standard_transformations + (convert_xor,)
 
 
@@ -92,7 +95,10 @@ class TimeFunction:
             value = self._fn(t)
             if isinstance(value, complex):
                 raise ArithmeticError(f"complex value {value}")
-            return float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise ArithmeticError(f"non-finite value {value}")
+            return value
         except (ArithmeticError, TypeError, ValueError) as exc:
             # TypeError, ValueError: a math function met a complex or out-of-domain value
             kind = type(exc) if isinstance(exc, ArithmeticError) else ArithmeticError

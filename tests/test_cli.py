@@ -1,10 +1,12 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from e2qes.cli import main
+from e2qes.cli import REQUIRED, SCHEMAS, main
 
 MODEL_COEFFS = {
     "muJ": {"re": 0, "im": 0},
@@ -252,3 +254,103 @@ def test_arithmetic_error_in_expression_is_precondition_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: evaluating {err}\n"
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+NAN = float("nan")
+
+
+def _shipped(name, **changes):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        return dict(json.load(fh), **changes)
+
+
+@pytest.mark.parametrize("sub,payload,key", [
+    ("classify", _shipped("hh_model.json", tolerance=NAN), "tolerance"),
+    ("solve-dyson", _shipped("solve_dyson_pt2.json", tolerance=NAN), "tolerance"),
+    ("solve-dyson", _shipped("solve_dyson_pt2.json", probeTimes=[NAN]), "probeTimes[0]"),
+    ("double-scaling", _shipped("double_scaling.json", g=NAN), "g"),
+    ("spectrum", _shipped("spectrum_cos2.json", zeta=NAN), "zeta"),
+], ids=["classify-tolerance", "solve-dyson-tolerance", "solve-dyson-probeTimes",
+        "double-scaling-g", "spectrum-zeta"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, sub, payload, key):
+    # json.dumps writes NaN, which json.load reads back as a float
+    cfg = _cfg(tmp_path, "n.json", payload)
+    assert main([sub, "--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be a finite number\n"
+
+
+@pytest.mark.parametrize("sub,payload,err", [
+    ("observables", dict(THREE_LEVEL_RUN, zeta=-0.5),
+     re.escape("three-level closed forms need gamma = (1 + beta) zeta > 0, got -0.65")),
+    ("observables", dict(THREE_LEVEL_RUN, beta=-1.5),
+     re.escape("three-level closed forms need gamma = (1 + beta) zeta > 0, got -0.25")),
+    ("wavefunctions", {"sector": "cos", "nHat": 5, "zeta": 1, "beta": 1e300,
+                       "rootIndex": 1},
+     re.escape("the tridiagonal eigensolver failed at zeta=1.0, beta=1e+300: ") + ".+"),
+    ("double-scaling", {"g": 3, "beta": 1e300, "zetas": [0.3], "kLow": 10},
+     re.escape("frame-shifted matrix is not finite at zeta=0.3, beta=1e+300")),
+    # lambda(t) overflows to -inf without raising
+    ("observables", dict(THREE_LEVEL_RUN, times=[-1e300], **{"lambda": "1e300*t"}),
+     r"evaluating \S+ at t=-1e\+300: non-finite value -inf"),
+    # found by tests/test_cli_fuzz.py
+    ("wavefunctions", {"sector": "cos", "nHat": 1, "zeta": 2147483648.0, "beta": 0.0,
+                       "rootIndex": 0},
+     re.escape("Bessel envelope is not finite at zeta=2147483648.0, beta=0.0")),
+    ("double-scaling", {"g": 8.98846567431158e+307, "beta": 0.0, "zetas": [0.0]},
+     re.escape("limit operator is not finite at g=8.98846567431158e+307")),
+    ("double-scaling", {"g": 1.3353866399245677e+307, "beta": 0.0, "zetas": [11.0]},
+     re.escape("frame-shifted matrix is not finite at zeta=11.0, beta=0.0")),
+    ("observables", dict(THREE_LEVEL_RUN, zeta=1e-9, beta=0.0),
+     re.escape("three-level minus normalization vanishes at gamma=1e-09")),
+    ("observables", dict(THREE_LEVEL_RUN, zeta=1.93873481932514e-197, beta=0.0),
+     re.escape("three-level zero normalization vanishes at gamma=1.93873481932514e-197")),
+    ("observables", {"zeta": -482, "beta": -3.875, "lambda": "t"},
+     re.escape("three-level closed forms overflow at gamma=1385.75")),
+    ("observables", {"zeta": 2.0, "beta": 1.0, "lambda": 0.0, "times": [1.7544954820696083e+307]},
+     re.escape("the minus state's energy phase overflows at t=1.7544954820696083e+307")),
+], ids=["observables-negative-zeta", "observables-beta-below-minus-one",
+        "wavefunctions-eigensolver", "double-scaling-overflow",
+        "observables-lambda-non-finite", "wavefunctions-bessel-nan",
+        "double-scaling-limit-overflow", "double-scaling-matmul-overflow",
+        "observables-small-gamma", "observables-tiny-gamma", "observables-closed-form-overflow",
+        "observables-phase-overflow"])
+def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err):
+    cfg = _cfg(tmp_path, "p.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        assert main([sub, "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {err}\n", captured.err)
+
+
+@pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+def test_unreadable_json_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["classify", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {path}: ") and err.count("\n") == 1
+
+
+def test_verify_empty_checks_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "v.json", {"checks": []})
+    assert main(["verify", "--input", cfg]) == 2
+    assert capsys.readouterr().err == "error: checks must be a non-empty list\n"
+
+
+def test_readme_lists_each_schema_key():
+    with open(os.path.join(CONFIGS, os.pardir, "README.md"), encoding="utf-8") as fh:
+        rows = [line.split("|") for line in fh if line.startswith("| `")]
+    listed = {}
+    for row in rows:
+        required, _, optional = row[2].partition("optional")
+        listed[row[1].strip(" `")] = (re.findall(r"`(\w+)`", required),
+                                      re.findall(r"`(\w+)`", optional))
+    expected = {sub: ([k for k, (_, d) in schema.items() if d is REQUIRED],
+                      [k for k, (_, d) in schema.items() if d is not REQUIRED])
+                for sub, schema in SCHEMAS.items()}
+    assert listed == expected

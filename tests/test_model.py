@@ -51,6 +51,14 @@ def test_json_strictness():
         CoefficientSet.from_json_dict(bad_shape)
 
 
+
+@pytest.mark.parametrize("part", [None, [1], True, float("nan"), float("inf"), 10 ** 400],
+                         ids=["null", "list", "bool", "nan", "inf", "huge-int"])
+def test_json_parts_are_strings_or_finite_numbers(part):
+    data = dict(CoefficientSet().to_json_dict(), muV={"re": part, "im": 0})
+    with pytest.raises(ValueError, match=r"^muV\.re must be an expression string "):
+        CoefficientSet.from_json_dict(data)
+
 def test_classify_model_family():
     p = ModelParams(zeta=0.5, beta=0.3, level=2.3)
     classes = classify_pt(model_hamiltonian(p))
