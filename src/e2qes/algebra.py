@@ -16,6 +16,9 @@ import functools
 
 import numpy as np
 
+# modes trimmed from each edge wherever an operator identity is checked
+PAD = 4
+
 
 @functools.lru_cache(maxsize=32)
 def build_generators(order):

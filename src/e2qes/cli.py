@@ -72,11 +72,13 @@ def _number(key, val, lo=None):
     return float(val)
 
 
-def _integer(key, val, lo):
+def _integer(key, val, lo, hi=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{key} must be an integer")
     if val < lo:
         raise ConfigError(f"{key} must be >= {lo}")
+    if hi is not None and val > hi:
+        raise ConfigError(f"{key} must be <= {hi}")
     return val
 
 
@@ -114,8 +116,10 @@ def _coefficients(key, val):
 REQUIRED = object()
 _NONNEGATIVE = partial(_number, lo=0.0)
 _NUMBERS = partial(_list, item=_number)
+# the eigensolve grows as nHat^2 (nHat = 10,000 takes about 1 s on a
+# 2-vCPU x86-64 VM), and nHat near 1e9 would ask numpy for gigabytes
 _SPECTRUM = {"sector": (partial(_choice, options=SECTORS), REQUIRED),
-             "nHat": (partial(_integer, lo=1), REQUIRED),
+             "nHat": (partial(_integer, lo=1, hi=10_000), REQUIRED),
              "zeta": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED)}
 SCHEMAS = {
     "classify": {"coefficients": (_coefficients, REQUIRED),

@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 from scipy.linalg import expm
 
-from .algebra import build_generators, interior_norm
+from .algebra import PAD, build_generators, interior_norm
 from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, PreconditionError,
                     PtClass, classify_pt, is_hermitian, realize)
 from .timefunc import T, TimeFunction
@@ -26,11 +26,6 @@ from .timefunc import T, TimeFunction
 
 class ResidualCheckError(RuntimeError):
     """A mandatory numerical self-check exceeded its tolerance."""
-
-
-# which profiles (tau, lam, rho) enter the map multiplied by i, per class
-_PHASES = {c: (1, 1j, 1) for c in PtClass} | {
-    PtClass.PT1: (1, 1, 1), PtClass.PT5: (1j, 1j, 1)}
 
 
 @dataclass(frozen=True)
@@ -48,16 +43,12 @@ class DysonParams:
 
     @property
     def phase_convention(self):
-        if self.pt_class is PtClass.PT1:
-            return "tau, lambda, rho all real"
-        if self.pt_class is PtClass.PT5:
-            return "tau and lambda imaginary, rho real"
-        return "lambda imaginary, tau and rho real"
+        return _CLASSES[self.pt_class].convention
 
     def effective(self, t):
         """Complex slot values (tau_e, lam_e, rho_e) at time t."""
         return tuple(complex(k * f(t)) for k, f in
-                     zip(_PHASES[self.pt_class], (self.tau, self.lam, self.rho)))
+                     zip(_CLASSES[self.pt_class].phases, (self.tau, self.lam, self.rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +79,7 @@ def _frame_terms(params, value, lib, i):
     those of i (d eta/dt) eta^-1.  With an imaginary J-slot, cosh and
     sinh evaluate to cos and i sin.
     """
-    phases = [i if k == 1j else 1 for k in _PHASES[params.pt_class]]
+    phases = [i if k == 1j else 1 for k in _CLASSES[params.pt_class].phases]
     fns = (params.tau, params.lam, params.rho)
     tau, lam, rho = (k * value(f) for k, f in zip(phases, fns))
     d_tau, d_lam, d_rho = (k * value(f.derivative()) for k, f in zip(phases, fns))
@@ -156,11 +147,6 @@ def adjoint_closed_form(generator, params, t):
     return {k: complex(images[generator].get(k, 0)) for k in "Juv"}
 
 
-def gauge_coefficients(params):
-    """Coefficient set of i (d eta/dt) eta^{-1}: a {J, u, v} combination."""
-    return _coefficient_set(_frame(params).gauge)
-
-
 def eta_matrix(params, t, order):
     """Dense frame map at time t: exp(tau_e v) exp(lam_e J) exp(rho_e u)."""
     J, u, v = build_generators(order)
@@ -177,7 +163,7 @@ def eta_inverse(params, t, order):
     return expm(-rho_e * u) @ (diag[:, None] * expm(-tau_e * v))
 
 
-def tdde_residual(coeffs, h_coeffs, params, t, order=32, pad=4):
+def tdde_residual(coeffs, h_coeffs, params, t, order=32):
     """Relative interior residual of h eta - eta H - (gauge) eta at time t.
 
     h_coeffs may be a CoefficientSet or a word -> value mapping at t.
@@ -187,23 +173,12 @@ def tdde_residual(coeffs, h_coeffs, params, t, order=32, pad=4):
     hm = realize(h_coeffs, t, order)
     G = realize(_frame_at(params, t).gauge, t, order)
     R = hm @ eta - eta @ Hm - G @ eta
-    scale = 1.0 + interior_norm(Hm, pad) + interior_norm(hm, pad)
-    return interior_norm(R, pad) / scale
+    scale = 1.0 + interior_norm(Hm, PAD) + interior_norm(hm, PAD)
+    return interior_norm(R, PAD) / scale
 
 
 # ---------------------------------------------------------------------------
 # per-class solver
-
-FREE_PARAMETERS = {
-    PtClass.PT1: ("muJJ", "muJ", "muUJ", "muVJ", "muUU"),
-    PtClass.PT2: ("lambda", "muJJ", "muU", "muV", "muUU", "muVV", "muUV"),
-    PtClass.PT3: ("lambda", "muJJ", "muJ", "muU.re", "muUJ.re", "muUU.re", "muUV"),
-    PtClass.PT4: ("lambda", "muJJ", "muJ", "muV", "muVJ", "muUU", "muVV"),
-    PtClass.PT5: ("lambda", "tau", "muJJ", "muJ", "muU", "muUJ", "muUU", "muVV"),
-}
-
-_SINGULAR_CLASSES = (PtClass.PT2, PtClass.PT3, PtClass.PT4)
-
 
 @dataclass(eq=False, repr=False, slots=True)
 class DysonSolution:
@@ -255,47 +230,41 @@ def _build_pt1(coeffs, lam, tau):
     return params, {k: TimeFunction(v) for k, v in residuals.items()}
 
 
-def _build_pt2(coeffs, lam, tau):
+def _sec_tan_params(pt_class, coeffs, lam):
+    """PT2-PT4 profiles: the imaginary J-slot puts sec and tan of lam in them."""
     mJJ = _expr(coeffs, "JJ", 0)
     m_uJ, m_vJ = _expr(coeffs, "uJ", 1), _expr(coeffs, "vJ", 1)
     L = lam.expr
-    tau_tf = TimeFunction(m_uJ / (2 * mJJ * sp.cos(L)))
-    rho_tf = TimeFunction(-(m_vJ + m_uJ * sp.tan(L)) / (2 * mJJ))
-    params = DysonParams(PtClass.PT2, tau_tf, lam, rho_tf)
-    residuals = {
+    tau = TimeFunction(m_uJ / (2 * mJJ * sp.cos(L)))
+    rho = TimeFunction(-(m_vJ + m_uJ * sp.tan(L)) / (2 * mJJ))
+    return DysonParams(pt_class, tau, lam, rho)
+
+
+def _build_pt2(coeffs, lam, tau):
+    return _sec_tan_params(PtClass.PT2, coeffs, lam), {
         "J_coefficient_absent":
             TimeFunction(_expr(coeffs, "J", 0) ** 2 + _expr(coeffs, "J", 1) ** 2),
-        "uJ_static": TimeFunction(sp.diff(m_uJ, T)),
-        "vJ_static": TimeFunction(sp.diff(m_vJ, T)),
+        "uJ_static": TimeFunction(sp.diff(_expr(coeffs, "uJ", 1), T)),
+        "vJ_static": TimeFunction(sp.diff(_expr(coeffs, "vJ", 1), T)),
     }
-    return params, residuals
 
 
 def _build_pt3(coeffs, lam, tau):
     mJJ = _expr(coeffs, "JJ", 0)
     r, s = _expr(coeffs, "uJ", 0), _expr(coeffs, "uJ", 1)
-    L = lam.expr
-    tau_tf = TimeFunction(s / (2 * mJJ * sp.cos(L)))
-    rho_tf = TimeFunction(s * (1 - sp.tan(L)) / (2 * mJJ))
-    params = DysonParams(PtClass.PT3, tau_tf, lam, rho_tf)
-    residuals = {
+    return _sec_tan_params(PtClass.PT3, coeffs, lam), {
         "u_imag_balance": TimeFunction(
             _expr(coeffs, "u", 1) - r / 2 - s * _expr(coeffs, "J", 0) / (2 * mJJ)),
         "uu_imag_balance": TimeFunction(
             _expr(coeffs, "uu", 1) - r * s / (2 * mJJ)),
         "uJ_static": TimeFunction(sp.diff(r, T) ** 2 + sp.diff(s, T) ** 2),
     }
-    return params, residuals
 
 
 def _build_pt4(coeffs, lam, tau):
     mJJ = _expr(coeffs, "JJ", 0)
     m_uJ = _expr(coeffs, "uJ", 1)
-    L = lam.expr
-    tau_tf = TimeFunction(m_uJ / (2 * mJJ * sp.cos(L)))
-    rho_tf = TimeFunction(-m_uJ * sp.tan(L) / (2 * mJJ))
-    params = DysonParams(PtClass.PT4, tau_tf, lam, rho_tf)
-    residuals = {
+    return _sec_tan_params(PtClass.PT4, coeffs, lam), {
         "u_imag_balance": TimeFunction(
             _expr(coeffs, "u", 1) - _expr(coeffs, "vJ", 0) / 2
             - _expr(coeffs, "J", 0) * m_uJ / (2 * mJJ)),
@@ -303,7 +272,6 @@ def _build_pt4(coeffs, lam, tau):
             _expr(coeffs, "uv", 1) - m_uJ * _expr(coeffs, "vJ", 0) / (2 * mJJ)),
         "uJ_static": TimeFunction(sp.diff(m_uJ, T)),
     }
-    return params, residuals
 
 
 def _build_pt5(coeffs, lam, tau):
@@ -322,18 +290,30 @@ def _build_pt5(coeffs, lam, tau):
     return params, residuals
 
 
-_BUILDERS = {
-    PtClass.PT1: _build_pt1,
-    PtClass.PT2: _build_pt2,
-    PtClass.PT3: _build_pt3,
-    PtClass.PT4: _build_pt4,
-    PtClass.PT5: _build_pt5,
+# per class: the slots (tau, lam, rho) that enter the map times i, the
+# phaseConvention text, free parameters, builder, and sec/tan(lam) profiles
+_Class = namedtuple("_Class", "phases convention free_parameters build sec_tan")
+_SEC_TAN = "lambda imaginary, tau and rho real"
+_CLASSES = {
+    PtClass.PT1: _Class((1, 1, 1), "tau, lambda, rho all real",
+                        ("muJJ", "muJ", "muUJ", "muVJ", "muUU"), _build_pt1, False),
+    PtClass.PT2: _Class((1, 1j, 1), _SEC_TAN,
+                        ("lambda", "muJJ", "muU", "muV", "muUU", "muVV", "muUV"),
+                        _build_pt2, True),
+    PtClass.PT3: _Class((1, 1j, 1), _SEC_TAN,
+                        ("lambda", "muJJ", "muJ", "muU.re", "muUJ.re", "muUU.re", "muUV"),
+                        _build_pt3, True),
+    PtClass.PT4: _Class((1, 1j, 1), _SEC_TAN,
+                        ("lambda", "muJJ", "muJ", "muV", "muVJ", "muUU", "muVV"),
+                        _build_pt4, True),
+    PtClass.PT5: _Class((1j, 1j, 1), "tau and lambda imaginary, rho real",
+                        ("lambda", "tau", "muJJ", "muJ", "muU", "muUJ", "muUU", "muVV"),
+                        _build_pt5, False),
 }
 
 
 def solve_dyson(pt_class, coeffs, lam=None, tau=None,
-                probe_times=DEFAULT_PROBE_TIMES, order=32,
-                tolerance=1e-8, class_tol=1e-12, constraint_tol=1e-8):
+                probe_times=DEFAULT_PROBE_TIMES, order=32, tolerance=1e-8):
     """Construct the frame map for one symmetry class and apply it.
 
     The caller supplies the free profile functions the class leaves
@@ -345,7 +325,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
     """
     if not isinstance(pt_class, PtClass):
         pt_class = PtClass(str(pt_class))
-    found = classify_pt(coeffs, probe_times, class_tol)
+    found = classify_pt(coeffs, probe_times)
     if pt_class not in found:
         names = sorted(c.value for c in found) or ["none"]
         raise PreconditionError(
@@ -367,15 +347,16 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
             raise PreconditionError(f"{pt_class.value} does not accept a tau profile")
 
     jj_re, jj_im = coeffs.pair("JJ")
-    if _static_residual(jj_re, probe_times) > constraint_tol:
+    if _static_residual(jj_re, probe_times) > 1e-8:
         raise PreconditionError("muJJ must be constant in time")
     for t in probe_times:
         if abs(jj_re(t)) <= 1e-12:
             raise PreconditionError("muJJ must be nonzero")
 
-    params, residual_fns = _BUILDERS[pt_class](coeffs, lam, tau)
+    row = _CLASSES[pt_class]
+    params, residual_fns = row.build(coeffs, lam, tau)
 
-    if pt_class in _SINGULAR_CLASSES:
+    if row.sec_tan:
         for t in probe_times:
             if abs(math.cos(params.lam(t))) < 1e-6:
                 raise PreconditionError(
@@ -384,7 +365,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
     constraints = {}
     for name, fn in residual_fns.items():
         constraints[name] = max(abs(fn(t)) for t in probe_times)
-    violated = {n: v for n, v in constraints.items() if v > constraint_tol}
+    violated = {n: v for n, v in constraints.items() if v > 1e-8}
     if violated:
         detail = ", ".join(f"{n}={v:.3e}" for n, v in sorted(violated.items()))
         raise PreconditionError(f"coefficient constraints violated: {detail}")
@@ -405,7 +386,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
                 f"residual {r:.3e} > {tolerance:.1e}")
 
     h = conjugate_coefficients(coeffs, params)
-    return DysonSolution(params, h, constraints, FREE_PARAMETERS[pt_class], tdde)
+    return DysonSolution(params, h, constraints, row.free_parameters, tdde)
 
 
 def model_dyson_params(p, lam):

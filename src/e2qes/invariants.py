@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import build_generators, commutator, interior_norm
+from .algebra import PAD, build_generators, commutator, interior_norm
 from .dyson import eta_inverse, eta_matrix, model_dyson_params
 from .model import (ModelParams, closed_form_counterpart, model_hamiltonian,
                     realize)
@@ -63,26 +63,26 @@ def invariant_rotating_derivative(spec, t, order=64):
     return dh + float(lam_ddot(t)) * J
 
 
-def commutation_residual(spec, order=64, pad=4):
+def commutation_residual(spec, order=64):
     """Interior norm of [I, H] in the static frame, relative to |I| |H|."""
     H = realize(model_hamiltonian(spec.params), 0.0, order)
     I = invariant_static(spec, order)
-    num = interior_norm(commutator(I, H), pad)
-    den = 1.0 + interior_norm(I, pad) * interior_norm(H, pad)
+    num = interior_norm(commutator(I, H), PAD)
+    den = 1.0 + interior_norm(I, PAD) * interior_norm(H, PAD)
     return num / den
 
 
-def defining_residual(spec, t, order=64, pad=4):
+def defining_residual(spec, t, order=64):
     """Interior norm of dI/dt - i [I, h] for the rotating-frame invariant."""
     hh = closed_form_counterpart(spec.params, spec.lam)
     h = realize(hh, t, order)
     I = invariant_rotating(spec, t, order)
     dI = invariant_rotating_derivative(spec, t, order)
     defect = dI + (-1j) * commutator(I, h)
-    return interior_norm(defect, pad) / (1.0 + interior_norm(I, pad))
+    return interior_norm(defect, PAD) / (1.0 + interior_norm(I, PAD))
 
 
-def similarity_residual(spec, t, order=64, pad=4):
+def similarity_residual(spec, t, order=64):
     """Two-path check: rotating invariant vs conjugated static invariant."""
     params = model_dyson_params(spec.params, spec.lam)
     eta = eta_matrix(params, t, order)
@@ -91,4 +91,4 @@ def similarity_residual(spec, t, order=64, pad=4):
     direct = invariant_rotating(spec, t, order)
     conjugated = eta @ I_static @ eta_inv
     diff = direct - conjugated
-    return interior_norm(diff, pad) / (1.0 + interior_norm(direct, pad))
+    return interior_norm(diff, PAD) / (1.0 + interior_norm(direct, PAD))

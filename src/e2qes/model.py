@@ -15,18 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_generators, interior_norm
+from .algebra import PAD, build_generators, interior_norm
 from .timefunc import TimeFunction
 
 COEFF_KEYS = ("JJ", "J", "u", "v", "uJ", "vJ", "uu", "vv", "uv")
 
+# emitted JSON lists the words in this order
 JSON_KEYS = {
     "muJ": "J", "muJJ": "JJ", "muU": "u", "muV": "v", "muUJ": "uJ",
     "muVJ": "vJ", "muUU": "uu", "muVV": "vv", "muUV": "uv",
 }
-_KEY_TO_JSON = {v: k for k, v in JSON_KEYS.items()}
-# serialization order is fixed so emitted JSON is reproducible
-JSON_KEY_ORDER = ("muJ", "muJJ", "muU", "muV", "muUJ", "muVJ", "muUU", "muVV", "muUV")
 
 DEFAULT_PROBE_TIMES = (0.0, 0.37, 1.0, 2.5)
 
@@ -97,8 +95,8 @@ class CoefficientSet:
 
     def to_json_dict(self):
         out = {}
-        for json_key in JSON_KEY_ORDER:
-            re, im = self._terms[JSON_KEYS[json_key]]
+        for json_key, key in JSON_KEYS.items():
+            re, im = self._terms[key]
             out[json_key] = {"re": re.serialize(), "im": im.serialize()}
         return out
 
@@ -205,13 +203,13 @@ def realize(coeffs, t, order):
     return total
 
 
-def is_hermitian(coeffs, t, order=64, pad=4):
+def is_hermitian(coeffs, t, order=64):
     """Interior Hermiticity of the realized operator at time t."""
-    if order < pad:
-        raise PreconditionError(f"order must be at least {pad}")
+    if order <= PAD:
+        raise PreconditionError(f"order must be at least {PAD + 1}")
     H = realize(coeffs, t, order)
-    scale = interior_norm(H, pad)
-    return interior_norm(H - H.conj().T, pad) <= 1e-12 * (1.0 + scale)
+    scale = interior_norm(H, PAD)
+    return interior_norm(H - H.conj().T, PAD) <= 1e-12 * (1.0 + scale)
 
 
 @dataclass(frozen=True)
@@ -240,8 +238,8 @@ class ModelParams:
         return cls(zeta=float(zeta), beta=float(beta),
                    level=float(n_hat + (n_hat - 1) * beta))
 
-    def is_quantized(self, n_hat, tol=1e-12):
-        return abs(self.level - (n_hat + (n_hat - 1) * self.beta)) <= tol * (1.0 + abs(self.level))
+    def is_quantized(self, n_hat):
+        return abs(self.level - (n_hat + (n_hat - 1) * self.beta)) <= 1e-12 * (1.0 + abs(self.level))
 
 
 def model_hamiltonian(p):

@@ -91,13 +91,13 @@ def apply_coefficients(coeffs, t, state, grid):
             + c["uv"] * sin * cos * f)
 
 
-def expectation(op_name, state, grid, norm_tol=1e-8):
+def expectation(op_name, state, grid):
     """<state|op|state> for op in {u, v, J} on a normalized state."""
     if op_name not in OP_NAMES:
         raise PreconditionError(f"op must be one of {OP_NAMES}, got {op_name!r}")
     f = _as_samples(state, grid)
     norm = grid.integrate(np.abs(f) ** 2).real
-    if abs(norm - 1.0) > norm_tol:
+    if abs(norm - 1.0) > 1e-8:
         raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     if op_name == "J":
         g = apply_mode_number(f)
@@ -108,10 +108,9 @@ def expectation(op_name, state, grid, norm_tol=1e-8):
     return grid.integrate(np.conj(f) * g).real
 
 
-def tdse_residual(state_fn, h_coeffs, t, grid, dt=1e-5):
+def tdse_residual(state_fn, h_coeffs, t, grid):
     """Relative L2 residual of i d/dt psi = h psi by central difference."""
-    if not 1e-7 <= dt <= 1e-3:
-        raise PreconditionError("dt must lie in [1e-7, 1e-3]")
+    dt = 1e-5
     psi = _as_samples(state_fn(t), grid)
     plus = _as_samples(state_fn(t + dt), grid)
     minus = _as_samples(state_fn(t - dt), grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_generators, commutator, interior_norm
+from .algebra import PAD, build_generators, commutator, interior_norm
 from .dyson import (DysonParams, adjoint_closed_form, eta_inverse, eta_matrix,
                     model_dyson_params, sample_compliant_inputs, solve_dyson,
                     tdde_residual)
@@ -28,7 +28,6 @@ from .qes import (closed_form_eigenvalues, factorization_residual,
 from .timefunc import TimeFunction
 
 SMALL_ORDER = 32
-PAD = 4
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,8 @@ def check_model_frame_equation():
         params = model_dyson_params(p, lam)
         bad = DysonParams(params.pt_class, params.tau, params.lam, -params.rho)
         for t in _PROBE_TIMES:
-            positive = max(positive, tdde_residual(H, hh, params, t,
-                                                   order=SMALL_ORDER, pad=PAD))
-            flipped = max(flipped, tdde_residual(H, hh, bad, t,
-                                                 order=SMALL_ORDER, pad=PAD))
+            positive = max(positive, tdde_residual(H, hh, params, t, order=SMALL_ORDER))
+            flipped = max(flipped, tdde_residual(H, hh, bad, t, order=SMALL_ORDER))
     passed = positive <= 1e-8 and flipped >= 1e-2
     return CheckResult(
         name="model_frame_equation",

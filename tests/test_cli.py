@@ -282,6 +282,25 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, sub, payload, key):
     assert captured.err == f"error: {key} must be a finite number\n"
 
 
+@pytest.mark.parametrize("n_hat", [10_001, 10**20])
+def test_nhat_above_cap_is_config_error(tmp_path, capsys, n_hat):
+    cfg = _cfg(tmp_path, "s.json", _shipped("spectrum_cos2.json", nHat=n_hat))
+    assert main(["spectrum", "--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nHat must be <= 10000\n"
+
+
+@pytest.mark.parametrize("truncation", ["2", "3", "4"])
+def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsys, truncation):
+    # the Hermiticity self-check trims 4 modes from each edge
+    cfg = _cfg(tmp_path, "d.json", _shipped("solve_dyson_pt2.json"))
+    assert main(["solve-dyson", "--input", cfg, "--truncation", truncation]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must be at least 5\n"
+
+
 @pytest.mark.parametrize("sub,payload,err", [
     ("observables", dict(THREE_LEVEL_RUN, zeta=-0.5),
      re.escape("three-level closed forms need gamma = (1 + beta) zeta > 0, got -0.65")),

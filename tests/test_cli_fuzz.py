@@ -29,7 +29,8 @@ INT_MAX = 60
 # verify runs only checks that take well under a second
 LIGHT_CHECKS = ("commutator_identities", "recurrence_tables", "spectra_closed_forms",
                 "factorization_identity", "energy_identities", "double_scaling_limit")
-FLAGS = ["--truncation", "16", "--quadrature", "64"]
+# truncations on both sides of the 4 edge modes the self-checks trim
+TRUNCATIONS = st.sampled_from(["2", "3", "4", "5", "6", "7", "8", "16"])
 # JSON values of the wrong type for every reader kind
 JUNK = st.sampled_from([None, True, False, "junk", [], {}, [None], {"re": 0}])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -84,6 +85,8 @@ def invalid(reader):
                                    allow_nan=False, allow_infinity=False))
     elif fn is cli._integer:
         wrong = [st.integers(max_value=kw["lo"] - 1), FINITE, NON_FINITE]
+        if kw.get("hi") is not None:
+            wrong.append(st.integers(min_value=kw["hi"] + 1))
     elif fn is cli._choice:
         wrong = [st.text(max_size=4).filter(lambda s: s not in kw["options"]), FINITE]
     elif fn is cli._list:
@@ -150,8 +153,8 @@ def _check_output(sub, out):
     ("observables", 50), ("verify", 20), ("double-scaling", 50)])
 def test_cli_never_escapes(tmp_path, sub, examples):
     @settings(max_examples=examples)
-    @given(drawn=configs(sub))
-    def run(drawn):
+    @given(drawn=configs(sub), truncation=TRUNCATIONS)
+    def run(drawn, truncation):
         cfg, fault = drawn
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -159,7 +162,8 @@ def test_cli_never_escapes(tmp_path, sub, examples):
         with warnings.catch_warnings(record=True) as caught, \
                 redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("always")
-            code = cli.main([sub, "--input", str(path), *FLAGS])
+            code = cli.main([sub, "--input", str(path), "--truncation", truncation,
+                             "--quadrature", "64"])
         # a warning reaches stderr in a real run
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
         assert code in (0, 1, 2, 3)

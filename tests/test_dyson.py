@@ -3,9 +3,8 @@ import pytest
 
 from e2qes import dyson
 from e2qes.algebra import build_generators, interior_norm
-from e2qes.dyson import (DysonParams, FREE_PARAMETERS, ResidualCheckError,
-                         adjoint_closed_form, conjugate_coefficients,
-                         eta_inverse, eta_matrix, gauge_coefficients,
+from e2qes.dyson import (DysonParams, ResidualCheckError, adjoint_closed_form,
+                         conjugate_coefficients, eta_inverse, eta_matrix,
                          model_dyson_params, sample_compliant_inputs,
                          solve_dyson, tdde_residual)
 from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, CoefficientSet,
@@ -68,7 +67,7 @@ def test_gauge_matches_finite_difference():
                          TimeFunction.parse("0.4*sin(t)"),
                          TimeFunction.parse("0.03*t"))
     t, eps = 0.7, 1e-6
-    analytic = realize(gauge_coefficients(params), t, ORDER)
+    analytic = realize(conjugate_coefficients(CoefficientSet(), params), t, ORDER)
     d_eta = (eta_matrix(params, t + eps, ORDER)
              - eta_matrix(params, t - eps, ORDER)) / (2.0 * eps)
     numeric = 1j * d_eta @ eta_inverse(params, t, ORDER)
@@ -85,7 +84,7 @@ def test_conjugate_coefficients_matrix_oracle(cls, rng):
         h_direct = realize(sol.h_coeffs, t, ORDER)
         eta = eta_matrix(sol.params, t, ORDER)
         inv = eta_inverse(sol.params, t, ORDER)
-        gauge = realize(gauge_coefficients(sol.params), t, ORDER)
+        gauge = realize(conjugate_coefficients(CoefficientSet(), sol.params), t, ORDER)
         h_matrix = eta @ realize(coeffs, t, ORDER) @ inv + gauge
         assert interior_norm(h_direct - h_matrix, PAD) <= 1e-9 * (
             1.0 + interior_norm(h_direct, PAD))
@@ -97,7 +96,7 @@ def test_solver_round_trip_all_classes(cls, rng):
         coeffs, kwargs = sample_compliant_inputs(cls, rng)
         sol = solve_dyson(cls, coeffs, order=ORDER, **kwargs)
         assert max(sol.tdde.values()) <= 1e-8
-        assert sol.free_parameters == FREE_PARAMETERS[cls]
+        assert sol.free_parameters == dyson._CLASSES[cls].free_parameters
         for t in (0.0, 1.0):
             assert is_hermitian(sol.h_coeffs, t, order=ORDER)
 
@@ -263,14 +262,14 @@ def test_self_check_catches_flipped_word(rng, monkeypatch):
 
 def test_self_check_catches_flipped_rho(rng, monkeypatch):
     coeffs, kwargs = sample_compliant_inputs(PtClass.PT2, rng)
-    build = dyson._BUILDERS[PtClass.PT2]
+    row = dyson._CLASSES[PtClass.PT2]
 
     def flipped(*args):
-        params, residuals = build(*args)
+        params, residuals = row.build(*args)
         return DysonParams(params.pt_class, params.tau, params.lam,
                            -params.rho), residuals
 
-    monkeypatch.setitem(dyson._BUILDERS, PtClass.PT2, flipped)
+    monkeypatch.setitem(dyson._CLASSES, PtClass.PT2, row._replace(build=flipped))
     with pytest.raises(ResidualCheckError, match="Hermiticity"):
         solve_dyson(PtClass.PT2, coeffs, order=ORDER, **kwargs)
 

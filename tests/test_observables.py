@@ -80,15 +80,6 @@ def test_expectation_norm_guard():
         expectation("w", np.ones(grid.n_nodes) / np.sqrt(2 * np.pi), grid)
 
 
-def test_tdse_residual_dt_bounds():
-    grid = QuadratureGrid()
-    sys = ThreeLevelSystem.from_couplings(0.5, 0.3, "0")
-    hh = closed_form_counterpart(sys.params, sys.lam)
-    fn = lambda t: sys.wavefunction("zero", t, grid)
-    with pytest.raises(PreconditionError):
-        tdse_residual(fn, hh, 0.1, grid, dt=1e-8)
-
-
 def test_tdse_detects_wrong_hamiltonian():
     grid = QuadratureGrid()
     sys = ThreeLevelSystem.from_couplings(0.5, 0.3, "0.4*sin(t)")

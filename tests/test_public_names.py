@@ -1,4 +1,4 @@
-"""Every name the package exports has a caller inside the package."""
+"""Every public name the package defines has a caller inside the package."""
 
 import ast
 import pathlib
@@ -8,17 +8,26 @@ import e2qes
 PACKAGE = pathlib.Path(e2qes.__file__).parent
 
 
+def _module_bodies():
+    """Top-level statements of every module but __init__."""
+    return [stmt for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def _names_read_in_modules():
-    """Names loaded or attributes read anywhere in the modules but __init__."""
+    """Names loaded or attributes read anywhere in the modules but __init__.
+
+    Reads inside a function or class body do not count for its own name.
+    """
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stmt in _module_bodies():
+        read = set()
+        for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                read.add(node.attr)
+        names |= read - {getattr(stmt, "name", None)}
     return names
 
 
@@ -26,3 +35,12 @@ def test_every_public_name_is_used_inside_the_package():
     # a definition is not a use, so a name only tests call shows up here
     unused = sorted(set(e2qes.__all__) - _names_read_in_modules())
     assert unused == []
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    # module-level functions and classes without a leading underscore,
+    # exported or not
+    defined = {stmt.name for stmt in _module_bodies()
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and not stmt.name.startswith("_")}
+    assert sorted(defined - _names_read_in_modules()) == []
