@@ -1,10 +1,11 @@
 """Symbolic real-valued functions of time.
 
 Coefficient profiles, pump functions and map parameters are all scalar
-functions of a single time variable built from the grammar
-``t, numbers, + - * / ^, sin, cos, tan, exp, sinh, cosh, tanh, Abs``,
-which covers what :meth:`TimeFunction.serialize` emits for solver output
-and what sympy makes of text such as ``(t^2)^0.5``.
+functions of a single time variable ``t``, built from numbers,
+``+ - * / ^`` and the functions in the one table :data:`GRAMMAR`.  The
+parser, the grammar check every TimeFunction passes, the printer and the
+evaluator all read that table, so serialized text parses back, and it is
+the very text that is evaluated, with each constant an exact double.
 Wrapping sympy keeps the derivative exact (no step-size tuning in
 residual tests) and makes the antiderivative available for the one place
 it is needed.
@@ -15,17 +16,38 @@ from __future__ import annotations
 import math
 
 import sympy as sp
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+from sympy.printing.str import StrPrinter
 
 T = sp.Symbol("t", real=True)
 
-_FUNCTIONS = {f.__name__: f for f in (sp.sin, sp.cos, sp.tan, sp.exp,
-                                      sp.sinh, sp.cosh, sp.tanh, sp.Abs)}
+# the grammar's functions: name -> (sympy function, float function); sign,
+# the derivative of Abs, passes NaN through as sympy's does
+GRAMMAR = {name: (getattr(sp, name), getattr(math, name))
+           for name in ("sin", "cos", "tan", "exp", "sinh", "cosh", "tanh")}
+GRAMMAR.update(Abs=(sp.Abs, abs), sign=(sp.sign, lambda x: x if x != x else (x > 0) - (x < 0)))
+# the float column without builtins; the constants sympy folds text into
+# (1/0, (-1)^0.5, 1e400) become values that __call__ reports
+_NAMESPACE = {"__builtins__": {}, "I": 1j, "zoo": math.inf, "oo": math.inf,
+              "inf": math.inf, "nan": math.nan,
+              **{name: fns[1] for name, fns in GRAMMAR.items()}}
 _TRANSFORMS = standard_transformations + (convert_xor,)
+
+
+class _Printer(StrPrinter):
+    """Grammar text with ``**``: also Python source over the namespace."""
+
+    def _print_Float(self, expr):
+        return repr(float(expr))  # shortest text that reads back the same double
+
+    def _print_Pow(self, expr, rational=False):
+        return super()._print_Pow(expr, rational=True)  # t**(1/2), never sqrt
+
+    def _print_Exp1(self, expr):
+        return "exp(1)"
+
+
+_PRINTER = _Printer()
 
 
 class ExpressionError(ValueError):
@@ -37,20 +59,17 @@ def _unknown_function(name):
     if not isinstance(name, str):
         name = "Function"
     raise ExpressionError(
-        f"function {name} not in the grammar ({', '.join(_FUNCTIONS)})")
+        f"function {name} not in the grammar ({', '.join(GRAMMAR)})")
 
 
-def _check_grammar(expr, parsed_text=False):
+def _check_grammar(expr):
     extra = expr.free_symbols - {T}
     if extra:
         names = ", ".join(sorted(str(s) for s in extra))
         raise ExpressionError(f"unknown symbol(s) in expression: {names}")
-    if parsed_text:
-        # text input is held to the documented grammar; internally built
-        # expressions may use any function lambdify can evaluate
-        for f in expr.atoms(sp.Function):
-            if f.func not in _FUNCTIONS.values():
-                _unknown_function(str(f.func))
+    for f in expr.atoms(sp.Function):
+        if GRAMMAR.get(str(f.func), (None,))[0] is not f.func:
+            _unknown_function(str(f.func))
     return expr
 
 
@@ -90,7 +109,7 @@ class TimeFunction:
 
     def __call__(self, t):
         if self._fn is None:
-            self._fn = sp.lambdify(T, self.expr, modules=["math"])
+            self._fn = eval("lambda t: " + _PRINTER.doprint(self.expr), _NAMESPACE)
         try:
             value = self._fn(t)
             if isinstance(value, complex):
@@ -113,14 +132,8 @@ class TimeFunction:
         """Definite integral from 0 to t as a new TimeFunction."""
         anti = sp.integrate(self.expr, T)
         if anti.has(sp.Integral):
-            raise ExpressionError(f"no elementary antiderivative for {self.expr}")
-        result = TimeFunction(sp.expand(anti - anti.subs(T, 0)))
-        try:
-            result(0.5)
-        except Exception as exc:
-            raise ExpressionError(
-                f"antiderivative of {self.expr} is not numerically evaluable") from exc
-        return result
+            raise ExpressionError(f"no elementary antiderivative for {self.serialize()}")
+        return TimeFunction(sp.expand(anti - anti.subs(T, 0)))
 
     def __add__(self, other):
         return TimeFunction(self.expr + TimeFunction(other).expr)
@@ -153,23 +166,23 @@ class TimeFunction:
         return hash(self.expr)
 
     def __repr__(self):
-        return f"TimeFunction({self.expr})"
+        return f"TimeFunction({self.serialize()!r})"
 
     def serialize(self):
-        """Deterministic plain-text form, reparseable by :meth:`parse`."""
-        return sp.sstr(self.expr).replace("**", "^")
+        """Deterministic grammar text that :meth:`parse` reads back."""
+        return _PRINTER.doprint(self.expr).replace("**", "^")
 
 
 def _parse_text(text):
     try:
         expr = parse_expr(
             text,
-            local_dict={"t": T, **_FUNCTIONS},
+            local_dict={"t": T, **{name: fns[0] for name, fns in GRAMMAR.items()}},
             transformations=_TRANSFORMS,
-            # just the literal constructors; unknown names become symbols
-            # and are rejected by the grammar check, unknown calls are
-            # rejected by the Function stand-in
-            global_dict={"Integer": sp.Integer, "Float": sp.Float,
+            # just the literal constructors, each decimal read as the nearest
+            # double; unknown names become symbols and are rejected by the
+            # grammar check, unknown calls are rejected by the Function stand-in
+            global_dict={"Integer": sp.Integer, "Float": lambda x: sp.Float(float(x)),
                          "Rational": sp.Rational, "Symbol": sp.Symbol,
                          "Function": _unknown_function},
             evaluate=True,
@@ -180,5 +193,4 @@ def _parse_text(text):
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
     if not isinstance(expr, sp.Expr):  # e.g. a bare constructor name
         raise ExpressionError(f"cannot parse expression {text!r}: not an expression")
-    return _check_grammar(expr, parsed_text=True)
-
+    return expr

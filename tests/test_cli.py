@@ -244,9 +244,17 @@ def test_quadrature_below_eight_is_config_error(tmp_path, capsys):
     # expression itself overflows
     ("observables", dict(THREE_LEVEL_RUN, **{"lambda": "exp(1000*t)"}),
      "exp(1000*t) at t=1.0: math range error"),
+    # sympy folds these on parse; the folded constants still fail on evaluation
+    ("observables", dict(THREE_LEVEL_RUN, **{"lambda": "1/0"}),
+     "zoo at t=0.0: non-finite value inf"),
+    ("observables", dict(THREE_LEVEL_RUN, **{"lambda": "(-1)^0.5"}),
+     "1.0*I at t=0.0: complex value 1j"),
+    ("observables", dict(THREE_LEVEL_RUN, **{"lambda": "exp(1e3)"}),
+     "inf at t=0.0: non-finite value inf"),
 ], ids=["lambda-zero-division", "lambda-overflow", "muV-overflow",
         "classify-muV-overflow", "lambda-complex", "observables-lambda-complex",
-        "observables-lambda-overflow"])
+        "observables-lambda-overflow", "observables-lambda-folded-zero-division",
+        "observables-lambda-folded-complex", "observables-lambda-folded-overflow"])
 def test_arithmetic_error_in_expression_is_precondition_error(
         tmp_path, capsys, sub, payload, err):
     cfg = _cfg(tmp_path, "a.json", payload)
@@ -289,6 +297,49 @@ def test_nhat_above_cap_is_config_error(tmp_path, capsys, n_hat):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: nHat must be <= 10000\n"
+
+
+@pytest.mark.parametrize("flag,value,err", [
+    ("--truncation", "513", "--truncation must be <= 512"),
+    ("--truncation", str(10**20), "--truncation must be <= 512"),
+    ("--quadrature", "16385", "--quadrature must be <= 16384"),
+    ("--quadrature", str(10**20), "--quadrature must be <= 16384"),
+])
+def test_size_flag_above_cap_is_config_error(tmp_path, capsys, flag, value, err):
+    # rejected before any config is read or any array is built
+    cfg = _cfg(tmp_path, "w.json", _shipped("wavefunction_cos2.json"))
+    assert main(["wavefunctions", "--input", cfg, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("lam", ["0.1*exp(1)*sin(t)", "0.4*t^(1/2)", "0.3*Abs(t-1.2)"])
+def test_solve_dyson_output_feeds_classify(tmp_path, capsys, lam):
+    # E, a half power and the sign that Abs differentiates to all print as
+    # grammar text, so the emitted h is a valid classify config
+    times = [0.5, 1.0, 2.0]
+    cfg = _cfg(tmp_path, "d.json", _shipped("solve_dyson_pt2.json", probeTimes=times,
+                                            **{"lambda": lam}))
+    assert main(["solve-dyson", "--input", cfg]) == 0
+    h = json.loads(capsys.readouterr().out)["hCoefficients"]
+    cfg = _cfg(tmp_path, "c.json", {"coefficients": h, "sampleTimes": times})
+    assert main(["classify", "--input", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and isinstance(json.loads(captured.out), list)
+
+
+def test_solve_dyson_antiderivative_outside_grammar_is_config_error(tmp_path, capsys):
+    # PT1 integrates muJ.im into lambda; 0.1/(1+t^2) integrates to atan
+    zero = {"re": 0, "im": 0}
+    coeffs = dict({k: zero for k in MODEL_COEFFS}, muJJ={"re": 1, "im": 0},
+                  muJ={"re": 0, "im": "0.1/(1+t^2)"})
+    cfg = _cfg(tmp_path, "d.json", {"class": "PT1", "coefficients": coeffs})
+    assert main(["solve-dyson", "--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: function atan not in the grammar "
+                            "(sin, cos, tan, exp, sinh, cosh, tanh, Abs, sign)\n")
 
 
 @pytest.mark.parametrize("truncation", ["2", "3", "4"])

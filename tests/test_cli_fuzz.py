@@ -4,7 +4,8 @@ Each example writes one config and runs ``cli.main`` in process.  Whatever
 the config, the run ends with a documented exit code and either a clean
 result or one ``error:`` line, never a traceback.  A config with exactly
 one planted fault (a bad value, a missing key, an unknown key) must be a
-config error that names the key.
+config error that names the key.  One more leg runs the solver on valid
+sets of every class and feeds its output back to ``classify``.
 """
 
 import io
@@ -15,12 +16,14 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2qes import cli
-from e2qes.model import JSON_KEYS
+from e2qes.dyson import sample_compliant_inputs
+from e2qes.model import JSON_KEYS, PtClass
 from test_timefunc import EXPRESSIONS
 
 # integer draws (nHat, rootIndex, kLow) stay within the nHat range checked
@@ -175,5 +178,38 @@ def test_cli_never_escapes(tmp_path, sub, examples):
             _check_output(sub, out.getvalue())
         if fault is not None:
             assert code == 2 and fault in lines[0]
+
+    run()
+
+
+def _run_quietly(args):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def test_solver_output_feeds_classify(tmp_path):
+    # the leg above rarely gets past config and class checks; this one
+    # reaches the frame map and the dense self-checks on every example
+    @settings(max_examples=10)
+    @given(cls=st.sampled_from(list(PtClass)), seed=st.integers(0, 2**32 - 1))
+    def run(cls, seed):
+        coeffs, kwargs = sample_compliant_inputs(cls, np.random.default_rng(seed))
+        cfg = {"class": cls.value, "coefficients": coeffs.to_json_dict(),
+               **{key: kwargs[k].serialize() for key, k in (("lambda", "lam"), ("tau", "tau"))
+                  if k in kwargs}}
+        path = tmp_path / "solve.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, lines = _run_quietly(["solve-dyson", "--input", str(path),
+                                         "--truncation", "16"])
+        assert (code, lines) == (0, [])
+        h = json.loads(out, parse_constant=_no_constants)["hCoefficients"]
+        path.write_text(json.dumps({"coefficients": h}), encoding="utf-8")
+        code, out, lines = _run_quietly(["classify", "--input", str(path)])
+        assert (code, lines) == (0, [])
+        assert isinstance(json.loads(out), list)
 
     run()

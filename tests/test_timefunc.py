@@ -1,4 +1,6 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from e2qes.timefunc import ExpressionError, TimeFunction
+from e2qes.timefunc import GRAMMAR, ExpressionError, TimeFunction
 
 
 def test_parse_and_eval():
@@ -38,7 +40,7 @@ def test_parse_names_unknown_function(text, name):
     with pytest.raises(ExpressionError) as err:
         TimeFunction.parse(text)
     assert str(err.value) == (f"function {name} not in the grammar "
-                              "(sin, cos, tan, exp, sinh, cosh, tanh, Abs)")
+                              "(sin, cos, tan, exp, sinh, cosh, tanh, Abs, sign)")
 
 
 @pytest.mark.parametrize("text", ["Function", "Symbol", "sin", "t > 1"])
@@ -64,11 +66,43 @@ def test_parse_admits_what_sympy_makes_of_grammar_text():
     assert TimeFunction.parse(f.serialize()) == f
 
 
-def test_internal_expressions_may_use_wider_functions():
-    # construction from sympy trees is not restricted to the parse grammar
+def test_internal_expressions_are_held_to_the_grammar():
+    # construction from sympy trees meets the same table as parsed text
     t = sp.Symbol("t", real=True)
-    f = TimeFunction(sp.atan(t))
-    assert f(0.3) == pytest.approx(math.atan(0.3))
+    with pytest.raises(ExpressionError, match="function atan not in the grammar"):
+        TimeFunction(sp.atan(t))
+
+
+def test_antiderivative_outside_the_grammar_is_rejected_when_built():
+    with pytest.raises(ExpressionError, match="function atan not in the grammar"):
+        TimeFunction.parse("0.1/(1+t^2)").integrate_from_zero()
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1e300*t", "1e+300*t"), ("0.4*t^(1/2)", "0.4*t^(1/2)"), ("1/(t^(1/2))", "t^(-1/2)"),
+    ("0.1*exp(1)*sin(t)", "0.1*exp(1)*sin(t)"), ("0.017499999999999998", "0.017499999999999998")])
+def test_serialize_prints_grammar_text_and_exact_doubles(text, want):
+    # never sqrt or E, and each float in its shortest round-trip form
+    assert TimeFunction.parse(text).serialize() == want
+
+
+def test_sign_is_the_derivative_of_abs():
+    f = TimeFunction.parse("0.3*Abs(t-1.2)").derivative()
+    assert f.serialize() == "0.3*sign(t - 1.2)"
+    assert [f(t) for t in (0.5, 1.2, 2.0)] == [-0.3, 0.0, 0.3]
+    assert TimeFunction.parse(f.serialize()) == f
+
+
+def test_readme_and_error_list_each_grammar_function():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())
+    sentence = re.search(r"Text input uses .*?\. ", readme).group(0)
+    with pytest.raises(ExpressionError) as err:
+        TimeFunction.parse("log(t)")
+    for name in GRAMMAR:
+        assert f"`{name}`" in sentence
+        assert re.search(rf"\b{name}\b", str(err.value))
 
 
 def test_derivative():
@@ -140,6 +174,7 @@ def test_vectorized_eval():
     np.testing.assert_allclose(vals, np.cos(ts), atol=1e-15)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # grammar text: exponents stay small literals or t, so parsing never builds
 # huge exact integers
 EXPRESSIONS = st.recursive(
@@ -157,7 +192,7 @@ EXPRESSIONS = st.recursive(
 
 
 @settings(max_examples=300)
-@given(text=EXPRESSIONS, t=st.floats(allow_nan=False, allow_infinity=False))
+@given(text=EXPRESSIONS, t=FINITE)
 def test_evaluation_is_real_or_arithmetic_error(text, t):
     try:
         f = TimeFunction.parse(text)
@@ -171,3 +206,22 @@ def test_evaluation_is_real_or_arithmetic_error(text, t):
         assert f"at t={t!r}" in str(exc)
     else:
         assert type(value) is float and math.isfinite(value)
+
+
+@given(x=FINITE)
+def test_constant_is_exact_and_reads_back(x):
+    f = TimeFunction(x)
+    assert f(0.0) == x
+    assert TimeFunction.parse(f.serialize()) == f
+
+
+@settings(max_examples=300)
+@given(text=EXPRESSIONS)
+def test_serialized_text_reads_back(text):
+    try:
+        f = TimeFunction.parse(text)
+        f(0.5)
+    except (ExpressionError, ArithmeticError):
+        reject()
+    g = TimeFunction.parse(f.serialize())
+    assert TimeFunction.parse(g.serialize()).serialize() == g.serialize()
