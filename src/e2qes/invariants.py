@@ -16,12 +16,6 @@ from .model import (ModelParams, closed_form_counterpart, model_hamiltonian,
 from .timefunc import TimeFunction
 
 
-def casimir_matrix(order):
-    """u^2 + v^2 on the truncated basis (identity up to edge defects)."""
-    _, u, v = build_generators(order)
-    return u @ u + v @ v
-
-
 @dataclass(frozen=True)
 class InvariantSpec:
     """Model instance plus the free Casimir weight of its invariant."""
@@ -40,8 +34,9 @@ class InvariantSpec:
 
 def invariant_static(spec, order=64):
     """Static-frame invariant: model Hamiltonian plus the Casimir multiple."""
+    w = float(spec.casimir_weight)
     H = realize(model_hamiltonian(spec.params), 0.0, order)
-    return H + float(spec.casimir_weight) * casimir_matrix(order)
+    return H + realize({"uu": w, "vv": w}, 0.0, order)
 
 
 def invariant_rotating(spec, t, order=64):
@@ -50,8 +45,8 @@ def invariant_rotating(spec, t, order=64):
     h = realize(hh, t, order)
     J, _, _ = build_generators(order)
     lam_dot = spec.lam.derivative()
-    return (h + float(lam_dot(t)) * J
-            + float(spec.casimir_weight) * casimir_matrix(order))
+    w = float(spec.casimir_weight)
+    return h + float(lam_dot(t)) * J + realize({"uu": w, "vv": w}, 0.0, order)
 
 
 def invariant_rotating_derivative(spec, t, order=64):

@@ -125,7 +125,11 @@ class TimeFunction:
 
     def derivative(self):
         if self._deriv is None:
-            self._deriv = TimeFunction(sp.diff(self.expr, T))
+            try:
+                self._deriv = TimeFunction(sp.diff(self.expr, T))
+            except ExpressionError:  # sign differentiates to a delta function
+                raise ExpressionError(
+                    f"the derivative of {self.serialize()} leaves the grammar") from None
         return self._deriv
 
     def integrate_from_zero(self):

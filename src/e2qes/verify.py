@@ -20,7 +20,7 @@ from .dyson import (DysonParams, adjoint_closed_form, eta_inverse, eta_matrix,
 from .invariants import (InvariantSpec, commutation_residual, defining_residual,
                          similarity_residual)
 from .model import (ModelParams, PtClass, closed_form_counterpart,
-                    model_hamiltonian)
+                    model_hamiltonian, realize)
 from .observables import (QuadratureGrid, ThreeLevelSystem, double_scaling_compare,
                           expectation, tdse_residual)
 from .qes import (closed_form_eigenvalues, factorization_residual,
@@ -46,11 +46,6 @@ class CheckResult:
             "threshold": float(self.threshold),
             "detail": self.detail,
         }
-
-
-def _combo_matrix(coeff_dict, order):
-    J, u, v = build_generators(order)
-    return coeff_dict["J"] * J + coeff_dict["u"] * u + coeff_dict["v"] * v
 
 
 def check_commutator_identities():
@@ -96,8 +91,8 @@ def check_adjoint_closed_forms():
         eta = eta_matrix(params, 0.0, SMALL_ORDER)
         eta_inv = eta_inverse(params, 0.0, SMALL_ORDER)
         for name, g in gens.items():
-            closed = _combo_matrix(adjoint_closed_form(name, params, 0.0),
-                                   SMALL_ORDER)
+            closed = realize(adjoint_closed_form(name, params, 0.0), 0.0,
+                             SMALL_ORDER)
             triple = eta @ g @ eta_inv
             defect = (interior_norm(closed - triple, PAD)
                       / (1.0 + interior_norm(closed, PAD)))

@@ -362,6 +362,8 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
      re.escape("the tridiagonal eigensolver failed at zeta=1.0, beta=1e+300: ") + ".+"),
     ("double-scaling", {"g": 3, "beta": 1e300, "zetas": [0.3], "kLow": 10},
      re.escape("frame-shifted matrix is not finite at zeta=0.3, beta=1e+300")),
+    ("double-scaling", _shipped("double_scaling.json", kLow=1000),
+     re.escape("kLow must lie in 1..129, the basis size, got 1000")),
     # lambda(t) overflows to -inf without raising
     ("observables", dict(THREE_LEVEL_RUN, times=[-1e300], **{"lambda": "1e300*t"}),
      r"evaluating \S+ at t=-1e\+300: non-finite value -inf"),
@@ -371,8 +373,6 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
      re.escape("Bessel envelope is not finite at zeta=2147483648.0, beta=0.0")),
     ("double-scaling", {"g": 8.98846567431158e+307, "beta": 0.0, "zetas": [0.0]},
      re.escape("limit operator is not finite at g=8.98846567431158e+307")),
-    ("double-scaling", {"g": 1.3353866399245677e+307, "beta": 0.0, "zetas": [11.0]},
-     re.escape("frame-shifted matrix is not finite at zeta=11.0, beta=0.0")),
     ("observables", dict(THREE_LEVEL_RUN, zeta=1e-9, beta=0.0),
      re.escape("three-level minus normalization vanishes at gamma=1e-09")),
     ("observables", dict(THREE_LEVEL_RUN, zeta=1.93873481932514e-197, beta=0.0),
@@ -382,9 +382,9 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
     ("observables", {"zeta": 2.0, "beta": 1.0, "lambda": 0.0, "times": [1.7544954820696083e+307]},
      re.escape("the minus state's energy phase overflows at t=1.7544954820696083e+307")),
 ], ids=["observables-negative-zeta", "observables-beta-below-minus-one",
-        "wavefunctions-eigensolver", "double-scaling-overflow",
+        "wavefunctions-eigensolver", "double-scaling-overflow", "double-scaling-kLow",
         "observables-lambda-non-finite", "wavefunctions-bessel-nan",
-        "double-scaling-limit-overflow", "double-scaling-matmul-overflow",
+        "double-scaling-limit-overflow",
         "observables-small-gamma", "observables-tiny-gamma", "observables-closed-form-overflow",
         "observables-phase-overflow"])
 def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err):
@@ -395,6 +395,30 @@ def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(f"error: {err}\n", captured.err)
+
+
+def test_double_scaling_huge_level_is_finite(tmp_path, capsys):
+    # found by tests/test_cli_fuzz.py: every entry of the partner at this
+    # level is finite, and so is its spectrum
+    cfg = _cfg(tmp_path, "d.json",
+               {"g": 1.3353866399245677e+307, "beta": 0.0, "zetas": [11.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["double-scaling", "--input", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    values = out["limit"] + out["rows"][0]["eigenvalues"] + out["rows"][0]["deviations"]
+    assert len(values) == 12 and np.all(np.isfinite(values))
+
+
+def test_sign_derivative_is_expression_error(tmp_path, capsys):
+    # sympy differentiates sign to a delta function, which the grammar lacks
+    cfg = _cfg(tmp_path, "d.json",
+               _shipped("solve_dyson_pt2.json", **{"lambda": "0.3*sign(t-1.2)"}))
+    assert main(["solve-dyson", "--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the derivative of 0.0875/cos(0.3*sign(t - 1.2)) leaves the grammar\n")
 
 
 @pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100000], ids=["not-utf8", "too-deep"])

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvalsh, expm
+from scipy.special import mathieu_a, mathieu_b
+
+from e2qes.algebra import build_generators
 from e2qes.model import (ModelParams, PreconditionError,
                          closed_form_counterpart, model_hamiltonian, realize)
 from e2qes.observables import (QuadratureGrid, ThreeLevelSystem,
@@ -163,3 +167,45 @@ def test_double_scaling_structure():
     assert rows[0]["deviation"].max() > rows[1]["deviation"].max()
     # limit eigenvalues independent of zeta
     np.testing.assert_allclose(rows[0]["limit"], rows[1]["limit"])
+
+
+def _assert_spectra_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("g", [1.0, 10.0, 100.0])
+def test_double_scaling_limit_is_mathieu_spectrum(g):
+    # 4 J^2 + 2 g v is Mathieu's operator in z = theta / 2 (DLMF 28.2): its
+    # 2 pi-periodic levels are a_{2k}(g), k >= 0, and b_{2k}(g), k >= 1
+    k_low = 12
+    limit = double_scaling_compare(g, [g / 10.0], 0.3, k_low=k_low)[0]["limit"]
+    k = np.arange(k_low)
+    mathieu = np.sort(np.concatenate([mathieu_a(2 * k, g), mathieu_b(2 * k[1:], g)]))
+    _assert_spectra_close(limit, mathieu[:k_low])
+
+
+@pytest.mark.parametrize("zeta,beta", [(0.5, 0.3), (1.2, 0.7), (0.8, -0.4), (2.0, 0.3)])
+def test_qes_energies_lie_in_the_partner_spectrum(zeta, beta):
+    # the static Hermitian partner is a Whittaker-Hill operator; its
+    # quasi-exactly solvable levels are part of its full spectrum
+    for n_hat in range(1, 11):
+        p = ModelParams.quantized(n_hat, zeta, beta)
+        full = eigvalsh(realize(closed_form_counterpart(p, 0.0), 0.0, 64))
+        for sector in ("cos", "sin") if n_hat > 1 else ("cos",):
+            energies = quantization_eigenvalues(sector, n_hat, zeta, beta).energies
+            nearest = full[np.argmin(np.abs(energies[:, None] - full), axis=1)]
+            _assert_spectra_close(nearest, energies)
+
+
+def test_double_scaling_matches_dense_frame_shift():
+    # reference route: conjugate H with exp(+-tau v), tau = (1 - beta) zeta / 4,
+    # and symmetrize before diagonalizing
+    g, beta, zetas, k_low = 1.0, 0.3, [0.1, 0.01, 0.001], 4
+    _, _, v = build_generators(64)
+    rows = double_scaling_compare(g, zetas, beta, order=64, k_low=k_low)
+    for zeta, row in zip(zetas, rows):
+        H = realize(model_hamiltonian(ModelParams(zeta, beta, g / zeta)), 0.0, 64)
+        tau = (1.0 - beta) * zeta / 4.0
+        h = expm(tau * v) @ H @ expm(-tau * v)
+        _assert_spectra_close(row["eigs"], eigvalsh(0.5 * (h + h.conj().T))[:k_low])
