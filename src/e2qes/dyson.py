@@ -19,8 +19,8 @@ import sympy as sp
 from scipy.linalg import expm
 
 from .algebra import PAD, build_generators, interior_norm
-from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, PreconditionError,
-                    PtClass, classify_pt, is_hermitian, realize)
+from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet,
+                    PreconditionError, PtClass, classify_pt, is_hermitian, realize)
 from .timefunc import T, TimeFunction
 
 
@@ -196,44 +196,41 @@ class DysonSolution:
                 f"max tdde residual {worst:.2e})")
 
 
-def _static_residual(fn, times):
-    d = fn.derivative()
-    return max(abs(d(t)) for t in times)
-
-
 def _expr(coeffs, key, part):
-    re, im = coeffs.pair(key)
-    return (re if part == 0 else im).expr
+    return coeffs.pair(key)[("re", "im").index(part)].expr
 
+
+# A builder returns the frame profiles and its constraint rows
+# (name, word, part, formula): that part of that word's coefficient
+# equals formula, or is constant in time when formula is None.  No
+# formula reads a part that a formula sets, so the compliant sampler
+# solves the rows in one pass.
 
 def _build_pt1(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", 0)
-    m_J = _expr(coeffs, "J", 1)
-    muUJ, muVJ = _expr(coeffs, "uJ", 0), _expr(coeffs, "vJ", 0)
+    mJJ = _expr(coeffs, "JJ", "re")
+    m_J = _expr(coeffs, "J", "im")
+    muUJ, muVJ = _expr(coeffs, "uJ", "re"), _expr(coeffs, "vJ", "re")
     lam_tf = TimeFunction(-m_J).integrate_from_zero()
     L = lam_tf.expr
     th = sp.tanh(L)
     tau_tf = TimeFunction(muVJ * sp.sinh(L) / (2 * mJJ))
     rho_tf = TimeFunction(muUJ * th / (2 * mJJ))
     params = DysonParams(PtClass.PT1, tau_tf, lam_tf, rho_tf)
-
-    muUU, muVV, muUV = (_expr(coeffs, k, 0) for k in ("uu", "vv", "uv"))
-    m_u, m_v = _expr(coeffs, "u", 1), _expr(coeffs, "v", 1)
-    residuals = {
-        "uv_cross_term": muUV - muUJ * muVJ / (2 * mJJ),
-        "uu_vv_split": muVV - muUU - (muVJ ** 2 - muUJ ** 2) / (4 * mJJ),
-        "u_shift_balance":
-            m_u - muVJ / 2 - (m_J * muUJ - sp.diff(muUJ, T) * th) / (2 * mJJ),
-        "v_shift_balance":
-            m_v + muUJ / 2 - (m_J * muVJ - sp.diff(muVJ, T) * th) / (2 * mJJ),
-    }
-    return params, {k: TimeFunction(v) for k, v in residuals.items()}
+    return params, [
+        ("uv_cross_term", "uv", "re", muUJ * muVJ / (2 * mJJ)),
+        ("uu_vv_split", "vv", "re",
+         _expr(coeffs, "uu", "re") + (muVJ ** 2 - muUJ ** 2) / (4 * mJJ)),
+        ("u_shift_balance", "u", "im",
+         muVJ / 2 + (m_J * muUJ - sp.diff(muUJ, T) * th) / (2 * mJJ)),
+        ("v_shift_balance", "v", "im",
+         -muUJ / 2 + (m_J * muVJ - sp.diff(muVJ, T) * th) / (2 * mJJ)),
+    ]
 
 
 def _sec_tan_params(pt_class, coeffs, lam):
     """PT2-PT4 profiles: the imaginary J-slot puts sec and tan of lam in them."""
-    mJJ = _expr(coeffs, "JJ", 0)
-    m_uJ, m_vJ = _expr(coeffs, "uJ", 1), _expr(coeffs, "vJ", 1)
+    mJJ = _expr(coeffs, "JJ", "re")
+    m_uJ, m_vJ = _expr(coeffs, "uJ", "im"), _expr(coeffs, "vJ", "im")
     L = lam.expr
     tau = TimeFunction(m_uJ / (2 * mJJ * sp.cos(L)))
     rho = TimeFunction(-(m_vJ + m_uJ * sp.tan(L)) / (2 * mJJ))
@@ -241,53 +238,45 @@ def _sec_tan_params(pt_class, coeffs, lam):
 
 
 def _build_pt2(coeffs, lam, tau):
-    return _sec_tan_params(PtClass.PT2, coeffs, lam), {
-        "J_coefficient_absent":
-            TimeFunction(_expr(coeffs, "J", 0) ** 2 + _expr(coeffs, "J", 1) ** 2),
-        "uJ_static": TimeFunction(sp.diff(_expr(coeffs, "uJ", 1), T)),
-        "vJ_static": TimeFunction(sp.diff(_expr(coeffs, "vJ", 1), T)),
-    }
+    return _sec_tan_params(PtClass.PT2, coeffs, lam), [
+        ("J_coefficient_absent", "J", "im", 0),
+        ("uJ_static", "uJ", "im", None),
+        ("vJ_static", "vJ", "im", None),
+    ]
 
 
 def _build_pt3(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", 0)
-    r, s = _expr(coeffs, "uJ", 0), _expr(coeffs, "uJ", 1)
-    return _sec_tan_params(PtClass.PT3, coeffs, lam), {
-        "u_imag_balance": TimeFunction(
-            _expr(coeffs, "u", 1) - r / 2 - s * _expr(coeffs, "J", 0) / (2 * mJJ)),
-        "uu_imag_balance": TimeFunction(
-            _expr(coeffs, "uu", 1) - r * s / (2 * mJJ)),
-        "uJ_static": TimeFunction(sp.diff(r, T) ** 2 + sp.diff(s, T) ** 2),
-    }
+    mJJ = _expr(coeffs, "JJ", "re")
+    r, s = _expr(coeffs, "uJ", "re"), _expr(coeffs, "uJ", "im")
+    return _sec_tan_params(PtClass.PT3, coeffs, lam), [
+        ("u_imag_balance", "u", "im", r / 2 + s * _expr(coeffs, "J", "re") / (2 * mJJ)),
+        ("uu_imag_balance", "uu", "im", r * s / (2 * mJJ)),
+        ("uJ_static", "uJ", "re", None),
+        ("uJ_static", "uJ", "im", None),
+    ]
 
 
 def _build_pt4(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", 0)
-    m_uJ = _expr(coeffs, "uJ", 1)
-    return _sec_tan_params(PtClass.PT4, coeffs, lam), {
-        "u_imag_balance": TimeFunction(
-            _expr(coeffs, "u", 1) - _expr(coeffs, "vJ", 0) / 2
-            - _expr(coeffs, "J", 0) * m_uJ / (2 * mJJ)),
-        "uv_imag_balance": TimeFunction(
-            _expr(coeffs, "uv", 1) - m_uJ * _expr(coeffs, "vJ", 0) / (2 * mJJ)),
-        "uJ_static": TimeFunction(sp.diff(m_uJ, T)),
-    }
+    mJJ = _expr(coeffs, "JJ", "re")
+    m_uJ, muVJ = _expr(coeffs, "uJ", "im"), _expr(coeffs, "vJ", "re")
+    return _sec_tan_params(PtClass.PT4, coeffs, lam), [
+        ("u_imag_balance", "u", "im",
+         muVJ / 2 + _expr(coeffs, "J", "re") * m_uJ / (2 * mJJ)),
+        ("uv_imag_balance", "uv", "im", m_uJ * muVJ / (2 * mJJ)),
+        ("uJ_static", "uJ", "im", None),
+    ]
 
 
 def _build_pt5(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", 0)
-    m_vJ = _expr(coeffs, "vJ", 1)
+    mJJ = _expr(coeffs, "JJ", "re")
+    m_vJ, muUJ = _expr(coeffs, "vJ", "im"), _expr(coeffs, "uJ", "re")
     rho_tf = TimeFunction(-m_vJ / (2 * mJJ))
-    params = DysonParams(PtClass.PT5, tau, lam, rho_tf)
-    residuals = {
-        "v_imag_balance": TimeFunction(
-            _expr(coeffs, "v", 1) + _expr(coeffs, "uJ", 0) / 2
-            - _expr(coeffs, "J", 0) * m_vJ / (2 * mJJ)),
-        "uv_imag_balance": TimeFunction(
-            _expr(coeffs, "uv", 1) - m_vJ * _expr(coeffs, "uJ", 0) / (2 * mJJ)),
-        "vJ_static": TimeFunction(sp.diff(m_vJ, T)),
-    }
-    return params, residuals
+    return DysonParams(PtClass.PT5, tau, lam, rho_tf), [
+        ("v_imag_balance", "v", "im",
+         -muUJ / 2 + _expr(coeffs, "J", "re") * m_vJ / (2 * mJJ)),
+        ("uv_imag_balance", "uv", "im", m_vJ * muUJ / (2 * mJJ)),
+        ("vJ_static", "vJ", "im", None),
+    ]
 
 
 # per class: the slots (tau, lam, rho) that enter the map times i, the
@@ -345,16 +334,21 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
             tau = TimeFunction(tau) if tau is not None else TimeFunction.zero()
         elif tau is not None:
             raise PreconditionError(f"{pt_class.value} does not accept a tau profile")
+        # differentiate the given profiles first, so a derivative outside
+        # the grammar is reported on the text the caller wrote
+        lam.derivative()
+        if tau is not None:
+            tau.derivative()
 
-    jj_re, jj_im = coeffs.pair("JJ")
-    if _static_residual(jj_re, probe_times) > 1e-8:
+    jj_re = coeffs.pair("JJ")[0]
+    if max(abs(jj_re.derivative()(t)) for t in probe_times) > 1e-8:
         raise PreconditionError("muJJ must be constant in time")
     for t in probe_times:
         if abs(jj_re(t)) <= 1e-12:
             raise PreconditionError("muJJ must be nonzero")
 
     row = _CLASSES[pt_class]
-    params, residual_fns = row.build(coeffs, lam, tau)
+    params, rows = row.build(coeffs, lam, tau)
 
     if row.sec_tan:
         for t in probe_times:
@@ -363,8 +357,11 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
                     f"lam({t}) puts the frame map at a sec/tan singularity")
 
     constraints = {}
-    for name, fn in residual_fns.items():
-        constraints[name] = max(abs(fn(t)) for t in probe_times)
+    for name, word, part, formula in rows:
+        value = _expr(coeffs, word, part)
+        fn = TimeFunction(sp.diff(value, T) if formula is None else value - formula)
+        worst = max(abs(fn(t)) for t in probe_times)
+        constraints[name] = max(constraints.get(name, 0.0), worst)
     violated = {n: v for n, v in constraints.items() if v > 1e-8}
     if violated:
         detail = ", ".join(f"{n}={v:.3e}" for n, v in sorted(violated.items()))
@@ -407,9 +404,9 @@ def model_dyson_params(p, lam):
 # ---------------------------------------------------------------------------
 # compliant input generator (used by tests and demos)
 
-def _random_profile(rng, amp=1.0, offset=0.0):
-    a = offset + amp * rng.uniform(-1.0, 1.0)
-    b = amp * rng.uniform(-1.0, 1.0)
+def _random_profile(rng, amp=0.5):
+    """a + b cos(w t) with |a|, |b| <= amp."""
+    a, b = amp * rng.uniform(-1.0, 1.0, size=2)
     w = rng.uniform(0.6, 1.7)
     return TimeFunction(sp.Float(a) + sp.Float(b) * sp.cos(sp.Float(w) * T))
 
@@ -418,101 +415,41 @@ def sample_compliant_inputs(pt_class, rng):
     """Random coefficient set satisfying one class's constraints exactly.
 
     Returns (coeffs, kwargs) where kwargs carries the free profile
-    functions expected by :func:`solve_dyson`.  Amplitudes are kept
-    moderate so dense cross-checks sit far above roundoff at order 32.
+    functions expected by :func:`solve_dyson`.  The parts the reality
+    pattern leaves free are drawn, the parts of static rows become
+    constants, every other row sets its part to its formula, and
+    conjugate partners are filled last.  Amplitudes are kept moderate so
+    dense cross-checks sit far above roundoff at order 32; the J
+    amplitude is smallest because the first class's map grows like
+    exp(|lam| order).
     """
-    if not isinstance(pt_class, PtClass):
-        pt_class = PtClass(str(pt_class))
-    mJJ = sp.Float(rng.uniform(1.5, 4.0))
-
-    if pt_class is PtClass.PT1:
-        # keep the J-slot integral small: the map grows like exp(|lam| order)
-        m_J = (sp.Float(0.08 * rng.uniform(-1, 1)) * sp.cos(sp.Float(rng.uniform(0.9, 1.5)) * T)
-               + sp.Float(0.04 * rng.uniform(-1, 1)))
-        L = sp.expand(-sp.integrate(m_J, T))
-        L = sp.expand(L - L.subs(T, 0))
-        th = sp.tanh(L)
-        muUJ = _random_profile(rng, 0.5).expr
-        muVJ = _random_profile(rng, 0.5).expr
-        muUU = _random_profile(rng, 0.5).expr
-        muUV = sp.expand(muUJ * muVJ / (2 * mJJ))
-        muVV = sp.expand(muUU + (muVJ ** 2 - muUJ ** 2) / (4 * mJJ))
-        m_u = sp.expand(muVJ / 2 + (m_J * muUJ - sp.diff(muUJ, T) * th) / (2 * mJJ))
-        m_v = sp.expand(-muUJ / 2 + (m_J * muVJ - sp.diff(muVJ, T) * th) / (2 * mJJ))
-        coeffs = CoefficientSet({
-            "JJ": (TimeFunction(mJJ), 0), "J": (0, TimeFunction(m_J)),
-            "u": (0, TimeFunction(m_u)), "v": (0, TimeFunction(m_v)),
-            "uJ": TimeFunction(muUJ), "vJ": TimeFunction(muVJ),
-            "uu": TimeFunction(muUU), "vv": TimeFunction(muVV),
-            "uv": TimeFunction(muUV),
-        })
-        return coeffs, {}
-
-    lam = TimeFunction(sp.Float(rng.uniform(0.2, 0.6))
-                       * sp.sin(sp.Float(rng.uniform(0.7, 1.4)) * T)
-                       + sp.Float(rng.uniform(-0.2, 0.2)))
-
-    if pt_class is PtClass.PT2:
-        m_uJ, m_vJ = sp.Float(rng.uniform(-0.6, 0.6)), sp.Float(rng.uniform(-0.6, 0.6))
-        coeffs = CoefficientSet({
-            "JJ": (TimeFunction(mJJ), 0),
-            "uJ": (0, TimeFunction(m_uJ)), "vJ": (0, TimeFunction(m_vJ)),
-            "u": _random_profile(rng), "v": _random_profile(rng),
-            "uu": _random_profile(rng), "vv": _random_profile(rng),
-            "uv": _random_profile(rng),
-        })
-        return coeffs, {"lam": lam}
-
-    if pt_class is PtClass.PT3:
-        r = sp.Float(rng.uniform(-0.6, 0.6))
-        s = sp.Float(rng.uniform(-0.6, 0.6))
-        muJ = _random_profile(rng, 0.5).expr
-        q = sp.expand(r / 2 + s * muJ / (2 * mJJ))
-        p = _random_profile(rng).expr
-        w = _random_profile(rng).expr
-        x = sp.expand(r * s / (2 * mJJ))
-        coeffs = CoefficientSet({
-            "JJ": (TimeFunction(mJJ), 0), "J": TimeFunction(muJ),
-            "u": (TimeFunction(p), TimeFunction(q)),
-            "v": (TimeFunction(p), TimeFunction(-q)),
-            "uJ": (TimeFunction(r), TimeFunction(s)),
-            "vJ": (TimeFunction(r), TimeFunction(-s)),
-            "uu": (TimeFunction(w), TimeFunction(x)),
-            "vv": (TimeFunction(w), TimeFunction(-x)),
-            "uv": _random_profile(rng),
-        })
-        return coeffs, {"lam": lam}
-
-    if pt_class is PtClass.PT4:
-        m_uJ = sp.Float(rng.uniform(-0.6, 0.6))
-        muJ = _random_profile(rng, 0.5).expr
-        muVJ = _random_profile(rng, 0.5).expr
-        m_u = sp.expand(muVJ / 2 + muJ * m_uJ / (2 * mJJ))
-        m_uv = sp.expand(m_uJ * muVJ / (2 * mJJ))
-        coeffs = CoefficientSet({
-            "JJ": (TimeFunction(mJJ), 0), "J": TimeFunction(muJ),
-            "u": (0, TimeFunction(m_u)), "uJ": (0, TimeFunction(m_uJ)),
-            "uv": (0, TimeFunction(m_uv)),
-            "v": _random_profile(rng), "vJ": TimeFunction(muVJ),
-            "uu": _random_profile(rng), "vv": _random_profile(rng),
-        })
-        return coeffs, {"lam": lam}
-
+    pt_class = PtClass(pt_class)
+    kwargs = {} if pt_class is PtClass.PT1 else {"lam": _random_profile(rng)}
     if pt_class is PtClass.PT5:
-        m_vJ = sp.Float(rng.uniform(-0.6, 0.6))
-        muJ = _random_profile(rng, 0.5).expr
-        muUJ = _random_profile(rng, 0.5).expr
-        m_v = sp.expand(-muUJ / 2 + muJ * m_vJ / (2 * mJJ))
-        m_uv = sp.expand(m_vJ * muUJ / (2 * mJJ))
-        tau = TimeFunction(sp.Float(rng.uniform(-0.5, 0.5))
-                           + sp.Float(rng.uniform(-0.3, 0.3)) * sp.sin(sp.Float(rng.uniform(0.7, 1.3)) * T))
-        coeffs = CoefficientSet({
-            "JJ": (TimeFunction(mJJ), 0), "J": TimeFunction(muJ),
-            "v": (0, TimeFunction(m_v)), "vJ": (0, TimeFunction(m_vJ)),
-            "uv": (0, TimeFunction(m_uv)),
-            "u": _random_profile(rng), "uJ": TimeFunction(muUJ),
-            "uu": _random_profile(rng), "vv": _random_profile(rng),
-        })
-        return coeffs, {"lam": lam, "tau": tau}
+        kwargs["tau"] = _random_profile(rng)
+    pattern = REALITY[pt_class]
+    parts = {}
+    for word in COEFF_KEYS:
+        for part in ("re", "im"):
+            if word == "JJ" and part == "re":
+                parts[word, part] = TimeFunction(sp.Float(rng.uniform(1.5, 4.0)))
+            elif pattern.get(word, part) == part:  # a free word draws both parts
+                parts[word, part] = _random_profile(rng, 0.08 if word == "J" else 0.5)
 
-    raise ValueError(f"unknown class {pt_class!r}")
+    def coefficient_set():
+        return CoefficientSet({w: (parts.get((w, "re"), 0), parts.get((w, "im"), 0))
+                               for w in COEFF_KEYS})
+
+    build = _CLASSES[pt_class].build
+    lam, tau = kwargs.get("lam"), kwargs.get("tau")
+    for _, word, part, formula in build(coefficient_set(), lam, tau)[1]:
+        if formula is None:
+            parts[word, part] = TimeFunction(sp.Float(rng.uniform(-0.6, 0.6)))
+    for _, word, part, formula in build(coefficient_set(), lam, tau)[1]:
+        if formula is not None:
+            parts[word, part] = TimeFunction(formula)
+    for word, rule in pattern.items():
+        if rule not in ("re", "im"):
+            parts[word, "re"] = parts[rule, "re"]
+            parts[word, "im"] = -parts[rule, "im"]
+    return coefficient_set(), kwargs

@@ -131,16 +131,20 @@ class PtClass(enum.Enum):
     PT5 = "PT5"
 
 
-# reality patterns per class: listed words are purely imaginary, the
-# rest purely real; PT3 instead pairs words by complex conjugation.
-_IMAGINARY_WORDS = {
-    PtClass.PT1: ("J", "u", "v"),
-    PtClass.PT2: ("J", "uJ", "vJ"),
-    PtClass.PT4: ("u", "uJ", "uv"),
-    PtClass.PT5: ("v", "vJ", "uv"),
+def _pattern(*imaginary):
+    return {k: "im" if k in imaginary else "re" for k in COEFF_KEYS}
+
+
+# reality pattern per class: word -> "re" (purely real), "im" (purely
+# imaginary) or the word it is the complex conjugate of; words a class
+# leaves out are free
+REALITY = {
+    PtClass.PT1: _pattern("J", "u", "v"),
+    PtClass.PT2: _pattern("J", "uJ", "vJ"),
+    PtClass.PT3: {"JJ": "re", "J": "re", "uv": "re", "v": "u", "vJ": "uJ", "vv": "uu"},
+    PtClass.PT4: _pattern("u", "uJ", "uv"),
+    PtClass.PT5: _pattern("v", "vJ", "uv"),
 }
-_PT3_REAL = ("JJ", "J", "uv")
-_PT3_PAIRS = (("u", "v"), ("uJ", "vJ"), ("uu", "vv"))
 
 
 def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES, tol=1e-12):
@@ -152,26 +156,16 @@ def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES, tol=1e-12):
     """
     samples = {k: [coeffs.value(k, t) for t in sample_times] for k in COEFF_KEYS}
 
-    def real_ok(key):
-        return all(abs(z.imag) <= tol * (1.0 + abs(z)) for z in samples[key])
+    def holds(word, rule):
+        if rule == "re":
+            return all(abs(z.imag) <= tol * (1.0 + abs(z)) for z in samples[word])
+        if rule == "im":
+            return all(abs(z.real) <= tol * (1.0 + abs(z)) for z in samples[word])
+        return all(abs(za - zb.conjugate()) <= tol * (1.0 + abs(za) + abs(zb))
+                   for za, zb in zip(samples[rule], samples[word]))
 
-    def imag_ok(key):
-        return all(abs(z.real) <= tol * (1.0 + abs(z)) for z in samples[key])
-
-    found = set()
-    for cls, imag_words in _IMAGINARY_WORDS.items():
-        ok = all(imag_ok(k) for k in imag_words)
-        ok = ok and all(real_ok(k) for k in COEFF_KEYS if k not in imag_words)
-        if ok:
-            found.add(cls)
-    pt3 = all(real_ok(k) for k in _PT3_REAL)
-    for a, b in _PT3_PAIRS:
-        pt3 = pt3 and all(
-            abs(za - np.conj(zb)) <= tol * (1.0 + abs(za) + abs(zb))
-            for za, zb in zip(samples[a], samples[b]))
-    if pt3:
-        found.add(PtClass.PT3)
-    return found
+    return {cls for cls, pattern in REALITY.items()
+            if all(holds(word, rule) for word, rule in pattern.items())}
 
 
 @functools.lru_cache(maxsize=32)

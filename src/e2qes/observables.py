@@ -273,7 +273,7 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
             finite = False
         if not finite:
             raise PreconditionError(
-                f"frame-shifted matrix is not finite at zeta={zeta}, beta={beta}")
+                f"Hermitian partner is not finite at zeta={zeta}, beta={beta}")
         eigs = eigvalsh(h)[:k_low]
         rows.append({
             "zeta": zeta,

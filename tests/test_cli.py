@@ -361,7 +361,7 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
                        "rootIndex": 1},
      re.escape("the tridiagonal eigensolver failed at zeta=1.0, beta=1e+300: ") + ".+"),
     ("double-scaling", {"g": 3, "beta": 1e300, "zetas": [0.3], "kLow": 10},
-     re.escape("frame-shifted matrix is not finite at zeta=0.3, beta=1e+300")),
+     re.escape("Hermitian partner is not finite at zeta=0.3, beta=1e+300")),
     ("double-scaling", _shipped("double_scaling.json", kLow=1000),
      re.escape("kLow must lie in 1..129, the basis size, got 1000")),
     # lambda(t) overflows to -inf without raising
@@ -418,7 +418,20 @@ def test_sign_derivative_is_expression_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the derivative of 0.0875/cos(0.3*sign(t - 1.2)) leaves the grammar\n")
+        "error: the derivative of 0.3*sign(t - 1.2) leaves the grammar\n")
+
+
+def test_small_j_coefficient_is_constraint_error(tmp_path, capsys):
+    # the row is linear in the coefficient, so |muJ| = 5e-5 clears the
+    # 1e-8 gate by far and stops before the Hermiticity self-check
+    payload = _shipped("solve_dyson_pt2.json")
+    payload["coefficients"]["muJ"] = {"re": 0, "im": 5e-5}
+    cfg = _cfg(tmp_path, "d.json", payload)
+    assert main(["solve-dyson", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coefficient constraints violated: J_coefficient_absent=5.000e-05\n")
 
 
 @pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100000], ids=["not-utf8", "too-deep"])

@@ -7,8 +7,8 @@ from e2qes.dyson import (DysonParams, ResidualCheckError, adjoint_closed_form,
                          conjugate_coefficients, eta_inverse, eta_matrix,
                          model_dyson_params, sample_compliant_inputs,
                          solve_dyson, tdde_residual)
-from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, CoefficientSet,
-                         ModelParams, PreconditionError, PtClass,
+from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY,
+                         CoefficientSet, ModelParams, PreconditionError, PtClass,
                          closed_form_counterpart, is_hermitian,
                          model_hamiltonian, realize)
 from e2qes.timefunc import TimeFunction
@@ -216,6 +216,35 @@ def test_pt3_static_imaginary_part_suffices():
     with pytest.raises(PreconditionError, match="uJ_static"):
         solve_dyson(PtClass.PT3, coeffs, lam=lam)
     del t_sym
+
+
+def _shift(coeffs, cls, word, part, step):
+    """coeffs with step added to one part, conjugate partner moved to match."""
+    terms = {w: list(coeffs.pair(w)) for w in COEFF_KEYS}
+    k = ("re", "im").index(part)
+    terms[word][k] = terms[word][k] + step
+    for w, rule in REALITY[cls].items():
+        if rule == word:
+            terms[w][k] = terms[w][k] + (step if part == "re" else -step)
+    return CoefficientSet({w: tuple(p) for w, p in terms.items()})
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_every_constraint_row_is_live(cls, rng):
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    build = dyson._CLASSES[cls].build
+    lam, tau = kwargs.get("lam"), kwargs.get("tau")
+    rows = build(coeffs, lam, tau)[1]
+    formulas = [formula for *_, formula in rows]
+    for name, word, part, formula in rows:
+        step = TimeFunction.parse("1e-6" if formula is not None else "1e-6*(1+t)")
+        moved = _shift(coeffs, cls, word, part, step)
+        with pytest.raises(PreconditionError, match=rf"\b{name}=1\.0"):
+            solve_dyson(cls, moved, order=ORDER, **kwargs)
+        if formula is not None:
+            # no formula reads a part that a formula sets, so the sampler
+            # solves the rows in one pass
+            assert [f for *_, f in build(moved, lam, tau)[1]] == formulas
 
 
 def test_residual_self_check_catches_forced_breakage(rng):

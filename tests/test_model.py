@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from e2qes.algebra import build_generators, interior_norm
-from e2qes.model import (CoefficientSet, ModelParams, PreconditionError,
-                         PtClass, classify_pt, closed_form_counterpart,
-                         is_hermitian, model_hamiltonian, realize)
+from e2qes.model import (REALITY, CoefficientSet, ModelParams,
+                         PreconditionError, PtClass, classify_pt,
+                         closed_form_counterpart, is_hermitian,
+                         model_hamiltonian, realize)
 from e2qes.timefunc import TimeFunction
 
 
@@ -65,17 +66,35 @@ def test_classify_model_family():
     assert classes == {PtClass.PT2, PtClass.PT4}
 
 
+# one representative per class, built to its reality pattern
+PURE = {
+    PtClass.PT1: {"JJ": 2.0, "J": 0.3j, "u": 0.1j, "v": 0.2j,
+                  "uJ": 0.4, "vJ": 0.5, "uu": 0.6, "vv": 0.7, "uv": 0.8},
+    PtClass.PT2: {"JJ": 2.0, "uJ": 0.4j, "vJ": 0.5j,
+                  "u": 0.1, "v": 0.2, "uu": 0.6, "vv": 0.7, "uv": 0.8},
+    PtClass.PT3: {"JJ": 2.0, "J": 0.3, "uv": 0.8, "u": 0.1 + 0.2j, "v": 0.1 - 0.2j,
+                  "uJ": 0.4 + 0.5j, "vJ": 0.4 - 0.5j, "uu": 0.6 + 0.7j, "vv": 0.6 - 0.7j},
+    PtClass.PT4: {"JJ": 2.0, "J": 0.3, "u": 0.1j, "uJ": 0.4j, "uv": 0.8j,
+                  "v": 0.2, "vJ": 0.5, "uu": 0.6, "vv": 0.7},
+    PtClass.PT5: {"JJ": 2.0, "J": 0.3, "v": 0.2j, "vJ": 0.5j,
+                  "uv": 0.8j, "u": 0.1, "uJ": 0.4, "uu": 0.6, "vv": 0.7},
+}
+
+
 def test_classify_pure_classes():
-    # one representative per class, built to the reality pattern
-    pt1 = CoefficientSet({"JJ": 2.0, "J": 0.3j, "u": 0.1j, "v": 0.2j,
-                          "uJ": 0.4, "vJ": 0.5, "uu": 0.6, "vv": 0.7, "uv": 0.8})
-    assert PtClass.PT1 in classify_pt(pt1)
-    pt2 = CoefficientSet({"JJ": 2.0, "uJ": 0.4j, "vJ": 0.5j,
-                          "u": 0.1, "v": 0.2, "uu": 0.6, "vv": 0.7, "uv": 0.8})
-    assert PtClass.PT2 in classify_pt(pt2)
-    pt5 = CoefficientSet({"JJ": 2.0, "J": 0.3, "v": 0.2j, "vJ": 0.5j,
-                          "uv": 0.8j, "u": 0.1, "uJ": 0.4, "uu": 0.6, "vv": 0.7})
-    assert PtClass.PT5 in classify_pt(pt5)
+    for cls, terms in PURE.items():
+        assert cls in classify_pt(CoefficientSet(terms)), cls
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_breaking_one_reality_entry_leaves_the_class(cls):
+    for word, rule in REALITY[cls].items():
+        # move the part the rule pins: the imaginary part of a real or
+        # conjugated word, the real part of an imaginary one
+        kick = 1e-6 if rule == "im" else 1e-6j
+        terms = dict(PURE[cls])
+        terms[word] = complex(terms.get(word, 0)) + kick
+        assert cls not in classify_pt(CoefficientSet(terms)), word
 
 
 def test_classify_time_dependent_reality():
