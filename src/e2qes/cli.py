@@ -4,7 +4,8 @@ Subcommands: classify, solve-dyson, spectrum, wavefunctions, observables,
 verify, double-scaling.  Configuration comes from a JSON file (--input);
 results go to --output or stdout.  Writes are atomic (temp file plus
 rename), JSON uses two-space indentation, CSV uses comma-separated
-columns with a header row and LF line endings.
+columns with a header row and LF line endings.  A subcommand takes only
+the size flags (--truncation, --quadrature) it reads; see COMMANDS.
 
 Exit codes: 0 success, 1 residual or verification failure, 2 config or
 parse error, 3 precondition violation (including arithmetic errors while
@@ -110,7 +111,7 @@ def _coefficients(key, val):
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
-# Each subcommand's config: JSON key -> (reader, default).  A reader takes
+# A config schema maps JSON key -> (reader, default).  A reader takes
 # (key, value) and returns the parsed value or raises ConfigError naming
 # the key; REQUIRED keys have no default.
 REQUIRED = object()
@@ -121,35 +122,10 @@ _NUMBERS = partial(_list, item=_number)
 _SPECTRUM = {"sector": (partial(_choice, options=SECTORS), REQUIRED),
              "nHat": (partial(_integer, lo=1, hi=10_000), REQUIRED),
              "zeta": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED)}
-SCHEMAS = {
-    "classify": {"coefficients": (_coefficients, REQUIRED),
-                 "sampleTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
-                 "tolerance": (_NONNEGATIVE, 1e-12)},
-    "solve-dyson": {
-        "class": (partial(_choice, options=tuple(c.value for c in PtClass)), REQUIRED),
-        "coefficients": (_coefficients, REQUIRED),
-        "lambda": (_expression, None), "tau": (_expression, None),
-        "probeTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
-        "tolerance": (_NONNEGATIVE, 1e-8)},
-    "spectrum": _SPECTRUM,
-    "wavefunctions": dict(_SPECTRUM, rootIndex=(partial(_integer, lo=0), REQUIRED),
-                          frame=(partial(_choice, options=("H", "h")), "H"),
-                          shift=(_number, 0.0)),
-    "observables": {"zeta": (_number, REQUIRED), "beta": (_number, REQUIRED),
-                    "lambda": (_expression, REQUIRED),
-                    "times": (_NUMBERS, (0.0, 0.5, 1.0)),
-                    "tolerance": (_NONNEGATIVE, 1e-8)},
-    "verify": {"checks": (partial(_list, item=partial(
-        _choice, options=tuple(all_check_names()))), None)},
-    "double-scaling": {"g": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED),
-                       "zetas": (_NUMBERS, REQUIRED),
-                       "kLow": (partial(_integer, lo=1), 4)},
-}
 
 
-def _config(args):
+def _config(args, schema):
     """Read --input against the subcommand's schema and fill in defaults."""
-    schema = SCHEMAS[args.command]
     data = {}
     if args.input:
         try:
@@ -291,45 +267,76 @@ def cmd_double_scaling(args, cfg):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "solve-dyson": cmd_solve_dyson,
-    "spectrum": cmd_spectrum,
-    "wavefunctions": cmd_wavefunctions,
-    "observables": cmd_observables,
-    "verify": cmd_verify,
-    "double-scaling": cmd_double_scaling,
+# Size flags: name -> (default, lo, hi, help).  Dense operators are
+# (2n+1)^2 and their cost grows as n^3: at truncation 512, solve-dyson
+# takes about 27 s and 0.4 GB on a 2-vCPU x86-64 VM, and wavefunctions,
+# which samples a nodes x (2n+1) matrix, peaks at 0.6 GB with 16,384 nodes.
+_SIZES = {
+    "truncation": (64, 2, 512, "mode cutoff for dense operators (default 64)"),
+    "quadrature": (2048, 8, 16_384, "grid nodes for sampled states (default 2048)"),
+}
+
+# One row per subcommand: (runner, config schema, size flags it reads).
+COMMANDS = {
+    "classify": (cmd_classify, {"coefficients": (_coefficients, REQUIRED),
+                                "sampleTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
+                                "tolerance": (_NONNEGATIVE, 1e-12)}, ()),
+    "solve-dyson": (cmd_solve_dyson, {
+        "class": (partial(_choice, options=tuple(c.value for c in PtClass)), REQUIRED),
+        "coefficients": (_coefficients, REQUIRED),
+        "lambda": (_expression, None), "tau": (_expression, None),
+        "probeTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
+        "tolerance": (_NONNEGATIVE, 1e-8)}, ("truncation",)),
+    "spectrum": (cmd_spectrum, _SPECTRUM, ()),
+    "wavefunctions": (cmd_wavefunctions, dict(
+        _SPECTRUM, rootIndex=(partial(_integer, lo=0), REQUIRED),
+        frame=(partial(_choice, options=("H", "h")), "H"),
+        shift=(_number, 0.0)), ("truncation", "quadrature")),
+    "observables": (cmd_observables, {
+        "zeta": (_number, REQUIRED), "beta": (_number, REQUIRED),
+        "lambda": (_expression, REQUIRED),
+        "times": (_NUMBERS, (0.0, 0.5, 1.0)),
+        "tolerance": (_NONNEGATIVE, 1e-8)}, ("quadrature",)),
+    "verify": (cmd_verify, {"checks": (partial(_list, item=partial(
+        _choice, options=tuple(all_check_names()))), None)}, ()),
+    "double-scaling": (cmd_double_scaling, {
+        "g": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED),
+        "zetas": (_NUMBERS, REQUIRED),
+        "kLow": (partial(_integer, lo=1), 4)}, ("truncation",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="e2qes",
         description="Frame maps, quasi-exact spectra and observables "
                     "for periodic mode-coupling models.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, sizes) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", help="JSON configuration file")
         p.add_argument("--output", help="destination path (default: stdout)")
-        p.add_argument("--truncation", type=int, default=64,
-                       help="mode cutoff for dense operators (default 64)")
-        p.add_argument("--quadrature", type=int, default=2048,
-                       help="grid nodes for sampled states (default 2048)")
+        for flag in sizes:
+            default, _, _, text = _SIZES[flag]
+            p.add_argument(f"--{flag}", type=int, default=default, help=text)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # dense operators are (2n+1)^2 and their cost grows as n^3: at 512,
-        # solve-dyson takes about 27 s and 0.4 GB on a 2-vCPU x86-64 VM
-        _integer("--truncation", args.truncation, lo=2, hi=512)
-        # wavefunctions samples a nodes x (2n+1) matrix: 16,384 nodes at
-        # truncation 512 peak at 0.6 GB
-        _integer("--quadrature", args.quadrature, lo=8, hi=16_384)
-        return _COMMANDS[args.command](args, _config(args))
+        args = build_parser().parse_args(argv)
+        runner, schema, sizes = COMMANDS[args.command]
+        for flag in sizes:
+            _, lo, hi, _ = _SIZES[flag]
+            _integer(f"--{flag}", getattr(args, flag), lo, hi)
+        return runner(args, _config(args, schema))
     except (ConfigError, ExpressionError) as exc:
         error, code = exc, EXIT_CONFIG
     except (PreconditionError, ArithmeticError) as exc:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import PAD, build_generators, commutator, interior_norm
+from .algebra import PAD, commutator, interior_norm
 from .dyson import eta_inverse, eta_matrix, model_dyson_params
-from .model import (ModelParams, closed_form_counterpart, model_hamiltonian,
-                    realize)
+from .model import (CoefficientSet, ModelParams, closed_form_counterpart,
+                    model_hamiltonian, realize)
 from .timefunc import TimeFunction
 
 
@@ -32,36 +32,31 @@ class InvariantSpec:
         return self.params.beta * self.params.zeta ** 2 + self.nu_vv
 
 
-def invariant_static(spec, order=64):
+def _plus_casimir(terms, spec):
+    """Coefficient set of the word terms plus the Casimir multiple."""
+    w = float(spec.casimir_weight)
+    return CoefficientSet(dict(terms, **{k: (terms[k][0] + w, terms[k][1])
+                                         for k in ("uu", "vv")}))
+
+
+def invariant_static(spec):
     """Static-frame invariant: model Hamiltonian plus the Casimir multiple."""
-    w = float(spec.casimir_weight)
-    H = realize(model_hamiltonian(spec.params), 0.0, order)
-    return H + realize({"uu": w, "vv": w}, 0.0, order)
+    return _plus_casimir(dict(model_hamiltonian(spec.params).items()), spec)
 
 
-def invariant_rotating(spec, t, order=64):
-    """Rotating-frame invariant: Hermitian image plus frame term and Casimir."""
+def invariant_rotating(spec):
+    """Rotating-frame invariant: Hermitian image plus frame term and Casimir.
+
+    The frame term +lam' J cancels the partner's J coefficient -lam'.
+    """
     hh = closed_form_counterpart(spec.params, spec.lam)
-    h = realize(hh, t, order)
-    J, _, _ = build_generators(order)
-    lam_dot = spec.lam.derivative()
-    w = float(spec.casimir_weight)
-    return h + float(lam_dot(t)) * J + realize({"uu": w, "vv": w}, 0.0, order)
-
-
-def invariant_rotating_derivative(spec, t, order=64):
-    """Analytic d/dt of the rotating-frame invariant (no finite differences)."""
-    hh = closed_form_counterpart(spec.params, spec.lam)
-    dh = realize(hh.derivative(), t, order)
-    J, _, _ = build_generators(order)
-    lam_ddot = spec.lam.derivative().derivative()
-    return dh + float(lam_ddot(t)) * J
+    return _plus_casimir({k: v for k, v in hh.items() if k != "J"}, spec)
 
 
 def commutation_residual(spec, order=64):
     """Interior norm of [I, H] in the static frame, relative to |I| |H|."""
     H = realize(model_hamiltonian(spec.params), 0.0, order)
-    I = invariant_static(spec, order)
+    I = realize(invariant_static(spec), 0.0, order)
     num = interior_norm(commutator(I, H), PAD)
     den = 1.0 + interior_norm(I, PAD) * interior_norm(H, PAD)
     return num / den
@@ -69,11 +64,10 @@ def commutation_residual(spec, order=64):
 
 def defining_residual(spec, t, order=64):
     """Interior norm of dI/dt - i [I, h] for the rotating-frame invariant."""
-    hh = closed_form_counterpart(spec.params, spec.lam)
-    h = realize(hh, t, order)
-    I = invariant_rotating(spec, t, order)
-    dI = invariant_rotating_derivative(spec, t, order)
-    defect = dI + (-1j) * commutator(I, h)
+    h = realize(closed_form_counterpart(spec.params, spec.lam), t, order)
+    inv = invariant_rotating(spec)
+    I = realize(inv, t, order)
+    defect = realize(inv.derivative(), t, order) + (-1j) * commutator(I, h)
     return interior_norm(defect, PAD) / (1.0 + interior_norm(I, PAD))
 
 
@@ -82,8 +76,8 @@ def similarity_residual(spec, t, order=64):
     params = model_dyson_params(spec.params, spec.lam)
     eta = eta_matrix(params, t, order)
     eta_inv = eta_inverse(params, t, order)
-    I_static = invariant_static(spec, order)
-    direct = invariant_rotating(spec, t, order)
+    I_static = realize(invariant_static(spec), 0.0, order)
+    direct = realize(invariant_rotating(spec), t, order)
     conjugated = eta @ I_static @ eta_inv
     diff = direct - conjugated
     return interior_norm(diff, PAD) / (1.0 + interior_norm(direct, PAD))

@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import sympy as sp
 
 from .algebra import PAD, build_generators, interior_norm
 from .timefunc import TimeFunction
@@ -272,6 +273,4 @@ def closed_form_counterpart(p, lam):
 
 
 def _sin_cos(lam):
-    import sympy as sp
-
     return TimeFunction(sp.sin(lam.expr)), TimeFunction(sp.cos(lam.expr))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PreconditionError
+from .model import ModelParams, PreconditionError, closed_form_counterpart, realize
 from .timefunc import TimeFunction
 
 OP_NAMES = ("u", "v", "J")
@@ -243,8 +243,6 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
     characteristic values), and deviations.
     """
     from scipy.linalg import eigvalsh
-
-    from .model import closed_form_counterpart, realize
 
     if not 1 <= k_low <= 2 * order + 1:
         raise PreconditionError(

@@ -42,31 +42,16 @@ def recurrence_polynomials(sector, n_max, p):
     ascending coefficients.
     """
     _check_sector(sector)
-    N, b, z = p.level, p.beta, p.zeta
-    if sector == "cos":
-        if n_max < 0:
-            raise PreconditionError("n_max must be nonnegative for the cos sector")
-        polys = [np.array([1.0])]
-        if n_max >= 1:
-            polys.append(np.array([0.0, 1.0]))
-        if n_max >= 2:
-            # the n = 1 step carries an extra factor 2 on the kernel term
-            polys.append(npoly.polyadd(
-                npoly.polymul([-4.0, 1.0], polys[1]),
-                [-2.0 * z ** 2 * (N - 1.0) * (N + b)]))
-    else:
-        if n_max < 1:
-            raise PreconditionError("n_max must be at least 1 for the sin sector")
-        polys = [np.array([1.0])]
-        if n_max >= 2:
-            polys.append(np.array([-4.0, 1.0]))
-    built = min(n_max, 2)  # highest subscript constructed explicitly
-    for k in range(built + 1, n_max + 1):
-        n = k - 1  # recurrence index of the step producing subscript k
-        polys.append(npoly.polysub(
-            npoly.polymul([-4.0 * n ** 2, 1.0], polys[-1]),
-            _kernel(n, p) * polys[-2]))
-    return polys
+    lo = SECTORS.index(sector)  # cos starts at P_0, sin at Q_1
+    if n_max < lo:
+        raise PreconditionError(f"n_max must be at least {lo} for the {sector} sector")
+    polys = [np.zeros(1), np.array([1.0])]  # the start at lo - 1 is zero
+    for n in range(lo, n_max):
+        # the cos step n = 1 carries an extra factor 2 on the kernel term
+        weight = _kernel(n, p) * (2.0 if sector == "cos" and n == 1 else 1.0)
+        polys.append(npoly.polysub(npoly.polymul([-4.0 * n ** 2, 1.0], polys[-1]),
+                                   weight * polys[-2]))
+    return polys[1:]
 
 
 def _eigh(diag, off, zeta, beta, **select):
@@ -230,10 +215,11 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     (n_hat + n - 1)); the sign is fixed by v's first component.
 
     frame 'H' multiplies the series by the bare-frame weight
-    exp(-(zeta/2) cos theta); frame 'h' uses exp(-(gamma/4) cos(theta +
-    shift)) and rotates each mode by exp(i n shift).  The mode vector is
-    L2-normalized.  A relative tail mass above 1e-12 outside the window
-    means the truncation is too small and raises.
+    exp(-(zeta/2) cos theta) and takes no shift; frame 'h' uses
+    exp(-(gamma/4) cos(theta + shift)) and rotates each mode by
+    exp(i n shift).  The mode vector is L2-normalized.  A relative tail
+    mass above 1e-12 outside the window means the truncation is too small
+    and raises.
     """
     from scipy.special import ive
 
@@ -245,6 +231,8 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
         raise PreconditionError("series eigenfunctions need zeta (1 + beta) != 0")
     if frame not in ("H", "h"):
         raise PreconditionError(f"frame must be 'H' or 'h', got {frame!r}")
+    if frame == "H" and shift != 0.0:
+        raise PreconditionError(f"shift applies to frame 'h' only, got {shift} with frame 'H'")
     nh = int(n_hat)
     lo = 0 if sector == "cos" else 1
     if nh - 1 < lo:
@@ -280,7 +268,7 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
         raise PreconditionError(f"Bessel envelope is not finite at zeta={p.zeta}, beta={p.beta}")
     modes = np.convolve(pref, series)[ext:3 * ext + 1]  # central slice, len 2*ext+1
 
-    if frame == "h" and shift != 0.0:
+    if shift != 0.0:
         ks = np.arange(-ext, ext + 1)
         modes = modes * np.exp(1j * ks * shift)
 

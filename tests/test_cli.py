@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from e2qes.cli import REQUIRED, SCHEMAS, main
+from e2qes.cli import COMMANDS, REQUIRED, main
 
 MODEL_COEFFS = {
     "muJ": {"re": 0, "im": 0},
@@ -456,8 +456,52 @@ def test_readme_lists_each_schema_key():
     for row in rows:
         required, _, optional = row[2].partition("optional")
         listed[row[1].strip(" `")] = (re.findall(r"`(\w+)`", required),
-                                      re.findall(r"`(\w+)`", optional))
+                                      re.findall(r"`(\w+)`", optional),
+                                      tuple(re.findall(r"`--(\w+)`", row[3])))
     expected = {sub: ([k for k, (_, d) in schema.items() if d is REQUIRED],
-                      [k for k, (_, d) in schema.items() if d is not REQUIRED])
-                for sub, schema in SCHEMAS.items()}
+                      [k for k, (_, d) in schema.items() if d is not REQUIRED], sizes)
+                for sub, (_, schema, sizes) in COMMANDS.items()}
     assert listed == expected
+
+
+@pytest.mark.parametrize("sub,flag", [
+    (sub, flag) for sub, (_, _, sizes) in COMMANDS.items()
+    for flag in ("--truncation", "--quadrature") if flag[2:] not in sizes])
+def test_size_flag_a_subcommand_does_not_read_is_rejected(capsys, sub, flag):
+    # a flag the subcommand would ignore is an error, not a silent no-op
+    assert main([sub, flag, "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {flag} 64\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["classify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["wavefunctions", "--truncation", "abc"],
+     "argument --truncation: invalid int value: 'abc'"),
+    (["spectrum", "--input"], "argument --input: expected one argument"),
+    ([], "the following arguments are required: command"),
+    (["nonsense"], "argument command: invalid choice: 'nonsense' .*"),
+], ids=["unknown-flag", "non-integer-size", "missing-value", "no-command", "unknown-command"])
+def test_parser_error_is_one_line(capsys, argv, err):
+    # main returns the code instead of raising SystemExit with a usage block
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {err}\n", captured.err)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wavefunctions", "--help"])
+    assert exc.value.code == 0
+    assert "--quadrature" in capsys.readouterr().out
+
+
+def test_shift_in_frame_H_is_precondition_error(tmp_path, capsys):
+    # frame H has no shift to apply; ignoring it would print an unshifted state
+    cfg = _cfg(tmp_path, "w.json", _shipped("wavefunction_cos2.json", frame="H"))
+    assert main(["wavefunctions", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shift applies to frame 'h' only, got 0.4 with frame 'H'\n"

@@ -1,4 +1,4 @@
-"""Fuzz gate over every subcommand, with configs drawn from ``cli.SCHEMAS``.
+"""Fuzz gate over every subcommand, with configs drawn from ``cli.COMMANDS``.
 
 Each example writes one config and runs ``cli.main`` in process.  Whatever
 the config, the run ends with a documented exit code and either a clean
@@ -113,7 +113,7 @@ def invalid(reader):
 @st.composite
 def configs(draw, sub):
     """(config, key of the planted fault or None)."""
-    schema = cli.SCHEMAS[sub]
+    _, schema, _ = cli.COMMANDS[sub]
     cfg = {}
     for key, (reader, default) in schema.items():
         # an omitted checks list would run the whole battery
@@ -151,6 +151,16 @@ def _check_output(sub, out):
         json.loads(out, parse_constant=_no_constants)
 
 
+def _run_quietly(args):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(args)
+    # a warning reaches stderr in a real run
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("sub,examples", [
     ("classify", 40), ("solve-dyson", 40), ("spectrum", 100), ("wavefunctions", 60),
     ("observables", 50), ("verify", 20), ("double-scaling", 50)])
@@ -161,34 +171,21 @@ def test_cli_never_escapes(tmp_path, sub, examples):
         cfg, fault = drawn
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = cli.main([sub, "--input", str(path), "--truncation", truncation,
-                             "--quadrature", "64"])
-        # a warning reaches stderr in a real run
-        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        sizes = {"truncation": truncation, "quadrature": "64"}
+        code, out, lines = _run_quietly(
+            [sub, "--input", str(path)]
+            + [arg for flag in cli.COMMANDS[sub][2] for arg in (f"--{flag}", sizes[flag])])
         assert code in (0, 1, 2, 3)
         if lines or code in (2, 3):
             # a failed run prints one error line and no result
             assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert code != 0 and out.getvalue() == ""
+            assert code != 0 and out == ""
         else:
-            _check_output(sub, out.getvalue())
+            _check_output(sub, out)
         if fault is not None:
             assert code == 2 and fault in lines[0]
 
     run()
-
-
-def _run_quietly(args):
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            redirect_stdout(out), redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(args)
-    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
 def test_solver_output_feeds_classify(tmp_path):

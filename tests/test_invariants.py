@@ -3,9 +3,8 @@ import pytest
 
 from e2qes.algebra import build_generators, interior_norm
 from e2qes.invariants import (InvariantSpec, commutation_residual, defining_residual,
-                              invariant_rotating, invariant_rotating_derivative,
-                              invariant_static, similarity_residual)
-from e2qes.model import ModelParams
+                              invariant_rotating, invariant_static, similarity_residual)
+from e2qes.model import ModelParams, model_hamiltonian, realize
 
 
 @pytest.fixture
@@ -38,17 +37,15 @@ def test_nonzero_casimir_weight_still_invariant():
 
 def test_analytic_derivative_against_finite_difference(spec):
     t, eps = 0.8, 1e-5
-    analytic = invariant_rotating_derivative(spec, t, order=32)
-    numeric = (invariant_rotating(spec, t + eps, order=32)
-               - invariant_rotating(spec, t - eps, order=32))
-    numeric = (1.0 / (2.0 * eps)) * numeric
+    I = invariant_rotating(spec)
+    analytic = realize(I.derivative(), t, 32)
+    numeric = (1.0 / (2.0 * eps)) * (realize(I, t + eps, 32) - realize(I, t - eps, 32))
     assert interior_norm(analytic - numeric, 4) <= 1e-6 * (
         1.0 + interior_norm(analytic, 4))
 
 
 def test_invariant_shift_is_casimir_multiple(spec):
-    I = invariant_static(spec, order=16)
-    from e2qes.model import model_hamiltonian, realize
+    I = realize(invariant_static(spec), 0.0, 16)
     H = realize(model_hamiltonian(spec.params), 0.0, 16)
     weight = spec.params.beta * spec.params.zeta ** 2
     diff = I - H
