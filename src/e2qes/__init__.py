@@ -11,8 +11,8 @@ battery.
 
 from .algebra import build_generators, commutator, interior_norm
 from .dyson import (DysonParams, DysonSolution, ResidualCheckError,
-                    adjoint_closed_form, conjugate_coefficients, eta_inverse,
-                    eta_matrix, model_dyson_params, sample_compliant_inputs,
+                    adjoint_closed_form, conjugate_coefficients, dyson_params,
+                    eta_inverse, eta_matrix, sample_compliant_inputs,
                     solve_dyson, tdde_residual)
 from .invariants import (InvariantSpec, commutation_residual,
                          defining_residual, invariant_rotating,
@@ -58,6 +58,7 @@ __all__ = [
     "conjugate_coefficients",
     "defining_residual",
     "double_scaling_compare",
+    "dyson_params",
     "eigenfunction_series",
     "eta_inverse",
     "eta_matrix",
@@ -67,7 +68,6 @@ __all__ = [
     "invariant_rotating",
     "invariant_static",
     "is_hermitian",
-    "model_dyson_params",
     "model_hamiltonian",
     "modes_to_grid",
     "quantization_eigenvalues",

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from .algebra import PAD, build_generators, interior_norm
 from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet,
                     PreconditionError, PtClass, classify_pt, is_hermitian, realize)
-from .timefunc import T, TimeFunction
+from .timefunc import ExpressionError, T, TimeFunction
 
 
 class ResidualCheckError(RuntimeError):
@@ -70,19 +70,19 @@ def _coefficient_set(terms):
 _Frame = namedtuple("_Frame", "images gauge")
 
 
-def _frame_terms(params, value, lib, i):
+def _frame_terms(pt_class, slots, d_slots, lib, i):
     """:class:`_Frame` in one scalar type.
 
-    value reads a profile as a real number or expression, lib supplies
-    cosh and sinh (cmath or sympy) and i is its imaginary unit.
-    images[g] holds the {J, u, v} coefficients of eta g eta^-1, gauge
-    those of i (d eta/dt) eta^-1.  With an imaginary J-slot, cosh and
-    sinh evaluate to cos and i sin.
+    slots are the profile values (tau, lam, rho) and d_slots their time
+    derivatives, as real numbers or expressions; lib supplies cosh and
+    sinh (cmath or sympy) and i is its imaginary unit.  images[g] holds
+    the {J, u, v} coefficients of eta g eta^-1, gauge those of
+    i (d eta/dt) eta^-1.  With an imaginary J-slot, cosh and sinh
+    evaluate to cos and i sin.
     """
-    phases = [i if k == 1j else 1 for k in _CLASSES[params.pt_class].phases]
-    fns = (params.tau, params.lam, params.rho)
-    tau, lam, rho = (k * value(f) for k, f in zip(phases, fns))
-    d_tau, d_lam, d_rho = (k * value(f.derivative()) for k, f in zip(phases, fns))
+    phases = [i if k == 1j else 1 for k in _CLASSES[pt_class].phases]
+    tau, lam, rho = (k * s for k, s in zip(phases, slots))
+    d_tau, d_lam, d_rho = (k * s for k, s in zip(phases, d_slots))
     ch, sh = lib.cosh(lam), lib.sinh(lam)
     images = {"J": {"J": 1, "u": -(i * tau + rho * sh), "v": i * (rho * ch)},
               "u": {"u": ch, "v": -i * sh},
@@ -95,12 +95,16 @@ def _frame_terms(params, value, lib, i):
 
 def _frame(params):
     """:func:`_frame_terms` over sympy."""
-    return _frame_terms(params, lambda fn: fn.expr, sp, sp.I)
+    fns = (params.tau, params.lam, params.rho)
+    return _frame_terms(params.pt_class, [f.expr for f in fns],
+                        [f.derivative().expr for f in fns], sp, sp.I)
 
 
 def _frame_at(params, t):
     """:func:`_frame_terms` over complex numbers at time t."""
-    return _frame_terms(params, lambda f: f(t), cmath, 1j)
+    fns = (params.tau, params.lam, params.rho)
+    return _frame_terms(params.pt_class, [f(t) for f in fns],
+                        [f.derivative()(t) for f in fns], cmath, 1j)
 
 
 def _conjugate_table(mu, frame, i):
@@ -151,16 +155,24 @@ def eta_matrix(params, t, order):
     """Dense frame map at time t: exp(tau_e v) exp(lam_e J) exp(rho_e u)."""
     J, u, v = build_generators(order)
     tau_e, lam_e, rho_e = params.effective(t)
-    diag = np.exp(lam_e * J.diagonal())
-    return expm(tau_e * v) @ (diag[:, None] * expm(rho_e * u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.exp(lam_e * J.diagonal())
+        return _finite(expm(tau_e * v) @ (diag[:, None] * expm(rho_e * u)), t, order)
 
 
 def eta_inverse(params, t, order):
     """Inverse of the frame map built from negated exponentials."""
     J, u, v = build_generators(order)
     tau_e, lam_e, rho_e = params.effective(t)
-    diag = np.exp(-lam_e * J.diagonal())
-    return expm(-rho_e * u) @ (diag[:, None] * expm(-tau_e * v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.exp(-lam_e * J.diagonal())
+        return _finite(expm(-rho_e * u) @ (diag[:, None] * expm(-tau_e * v)), t, order)
+
+
+def _finite(m, t, order):
+    if not np.isfinite(m).all():
+        raise PreconditionError(f"the frame map is not finite at t={t} with truncation {order}")
+    return m
 
 
 def tdde_residual(coeffs, h_coeffs, params, t, order=32):
@@ -196,30 +208,27 @@ class DysonSolution:
                 f"max tdde residual {worst:.2e})")
 
 
-def _expr(coeffs, key, part):
-    return coeffs.pair(key)[("re", "im").index(part)].expr
+# A builder reads mu, the map (word, part) -> sympy expression of the
+# coefficient parts, and the free profiles lam and tau (sympy
+# expressions; a class that fixes one ignores it, so None will do).  It
+# returns the profiles (tau, lam, rho) and its constraint rows (name,
+# word, part, formula): that part of that word's coefficient equals
+# formula, or is constant in time when formula is None.  No formula reads
+# a part that a formula sets, so the compliant sampler solves the rows in
+# one pass.
 
-
-# A builder returns the frame profiles and its constraint rows
-# (name, word, part, formula): that part of that word's coefficient
-# equals formula, or is constant in time when formula is None.  No
-# formula reads a part that a formula sets, so the compliant sampler
-# solves the rows in one pass.
-
-def _build_pt1(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", "re")
-    m_J = _expr(coeffs, "J", "im")
-    muUJ, muVJ = _expr(coeffs, "uJ", "re"), _expr(coeffs, "vJ", "re")
-    lam_tf = TimeFunction(-m_J).integrate_from_zero()
-    L = lam_tf.expr
+def _build_pt1(mu, lam, tau):
+    mJJ, m_J = mu["JJ", "re"], mu["J", "im"]
+    muUJ, muVJ = mu["uJ", "re"], mu["vJ", "re"]
+    anti = sp.integrate(-m_J, T)
+    if anti.has(sp.Integral):
+        raise ExpressionError(
+            f"no elementary antiderivative for {TimeFunction(-m_J).serialize()}")
+    L = sp.expand(anti - anti.subs(T, 0))
     th = sp.tanh(L)
-    tau_tf = TimeFunction(muVJ * sp.sinh(L) / (2 * mJJ))
-    rho_tf = TimeFunction(muUJ * th / (2 * mJJ))
-    params = DysonParams(PtClass.PT1, tau_tf, lam_tf, rho_tf)
-    return params, [
+    return (muVJ * sp.sinh(L) / (2 * mJJ), L, muUJ * th / (2 * mJJ)), [
         ("uv_cross_term", "uv", "re", muUJ * muVJ / (2 * mJJ)),
-        ("uu_vv_split", "vv", "re",
-         _expr(coeffs, "uu", "re") + (muVJ ** 2 - muUJ ** 2) / (4 * mJJ)),
+        ("uu_vv_split", "vv", "re", mu["uu", "re"] + (muVJ ** 2 - muUJ ** 2) / (4 * mJJ)),
         ("u_shift_balance", "u", "im",
          muVJ / 2 + (m_J * muUJ - sp.diff(muUJ, T) * th) / (2 * mJJ)),
         ("v_shift_balance", "v", "im",
@@ -227,53 +236,48 @@ def _build_pt1(coeffs, lam, tau):
     ]
 
 
-def _sec_tan_params(pt_class, coeffs, lam):
+def _sec_tan(mu, lam):
     """PT2-PT4 profiles: the imaginary J-slot puts sec and tan of lam in them."""
-    mJJ = _expr(coeffs, "JJ", "re")
-    m_uJ, m_vJ = _expr(coeffs, "uJ", "im"), _expr(coeffs, "vJ", "im")
-    L = lam.expr
-    tau = TimeFunction(m_uJ / (2 * mJJ * sp.cos(L)))
-    rho = TimeFunction(-(m_vJ + m_uJ * sp.tan(L)) / (2 * mJJ))
-    return DysonParams(pt_class, tau, lam, rho)
+    mJJ = mu["JJ", "re"]
+    m_uJ, m_vJ = mu["uJ", "im"], mu["vJ", "im"]
+    return (m_uJ / (2 * mJJ * sp.cos(lam)), lam,
+            -(m_vJ + m_uJ * sp.tan(lam)) / (2 * mJJ))
 
 
-def _build_pt2(coeffs, lam, tau):
-    return _sec_tan_params(PtClass.PT2, coeffs, lam), [
+def _build_pt2(mu, lam, tau):
+    return _sec_tan(mu, lam), [
         ("J_coefficient_absent", "J", "im", 0),
         ("uJ_static", "uJ", "im", None),
         ("vJ_static", "vJ", "im", None),
     ]
 
 
-def _build_pt3(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", "re")
-    r, s = _expr(coeffs, "uJ", "re"), _expr(coeffs, "uJ", "im")
-    return _sec_tan_params(PtClass.PT3, coeffs, lam), [
-        ("u_imag_balance", "u", "im", r / 2 + s * _expr(coeffs, "J", "re") / (2 * mJJ)),
+def _build_pt3(mu, lam, tau):
+    mJJ = mu["JJ", "re"]
+    r, s = mu["uJ", "re"], mu["uJ", "im"]
+    return _sec_tan(mu, lam), [
+        ("u_imag_balance", "u", "im", r / 2 + s * mu["J", "re"] / (2 * mJJ)),
         ("uu_imag_balance", "uu", "im", r * s / (2 * mJJ)),
         ("uJ_static", "uJ", "re", None),
         ("uJ_static", "uJ", "im", None),
     ]
 
 
-def _build_pt4(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", "re")
-    m_uJ, muVJ = _expr(coeffs, "uJ", "im"), _expr(coeffs, "vJ", "re")
-    return _sec_tan_params(PtClass.PT4, coeffs, lam), [
-        ("u_imag_balance", "u", "im",
-         muVJ / 2 + _expr(coeffs, "J", "re") * m_uJ / (2 * mJJ)),
+def _build_pt4(mu, lam, tau):
+    mJJ = mu["JJ", "re"]
+    m_uJ, muVJ = mu["uJ", "im"], mu["vJ", "re"]
+    return _sec_tan(mu, lam), [
+        ("u_imag_balance", "u", "im", muVJ / 2 + mu["J", "re"] * m_uJ / (2 * mJJ)),
         ("uv_imag_balance", "uv", "im", m_uJ * muVJ / (2 * mJJ)),
         ("uJ_static", "uJ", "im", None),
     ]
 
 
-def _build_pt5(coeffs, lam, tau):
-    mJJ = _expr(coeffs, "JJ", "re")
-    m_vJ, muUJ = _expr(coeffs, "vJ", "im"), _expr(coeffs, "uJ", "re")
-    rho_tf = TimeFunction(-m_vJ / (2 * mJJ))
-    return DysonParams(PtClass.PT5, tau, lam, rho_tf), [
-        ("v_imag_balance", "v", "im",
-         -muUJ / 2 + _expr(coeffs, "J", "re") * m_vJ / (2 * mJJ)),
+def _build_pt5(mu, lam, tau):
+    mJJ = mu["JJ", "re"]
+    m_vJ, muUJ = mu["vJ", "im"], mu["uJ", "re"]
+    return (tau, lam, -m_vJ / (2 * mJJ)), [
+        ("v_imag_balance", "v", "im", -muUJ / 2 + mu["J", "re"] * m_vJ / (2 * mJJ)),
         ("uv_imag_balance", "uv", "im", m_vJ * muUJ / (2 * mJJ)),
         ("vJ_static", "vJ", "im", None),
     ]
@@ -299,6 +303,25 @@ _CLASSES = {
                         ("lambda", "tau", "muJJ", "muJ", "muU", "muUJ", "muUU", "muVV"),
                         _build_pt5, False),
 }
+
+
+def _parts(coeffs):
+    """(word, part) -> sympy expression of one coefficient part."""
+    return {(word, part): f.expr for word, pair in coeffs.items()
+            for part, f in zip(("re", "im"), pair)}
+
+
+def dyson_params(pt_class, coeffs, lam=None, tau=None):
+    """Frame profiles and constraint rows of one class for a coefficient set.
+
+    lam and tau are the free profiles the class leaves open (lam for all
+    but the first class, tau for the fifth); an omitted one is 0.
+    Returns (DysonParams, rows) with each row (name, word, part, formula)
+    as :func:`solve_dyson` checks it; the rows are not checked here.
+    """
+    free = (TimeFunction(0 if f is None else f).expr for f in (lam, tau))
+    profiles, rows = _CLASSES[pt_class].build(_parts(coeffs), *free)
+    return DysonParams(pt_class, *map(TimeFunction, profiles)), rows
 
 
 def solve_dyson(pt_class, coeffs, lam=None, tau=None,
@@ -348,7 +371,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
             raise PreconditionError("muJJ must be nonzero")
 
     row = _CLASSES[pt_class]
-    params, rows = row.build(coeffs, lam, tau)
+    params, rows = dyson_params(pt_class, coeffs, lam, tau)
 
     if row.sec_tan:
         for t in probe_times:
@@ -357,8 +380,9 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
                     f"lam({t}) puts the frame map at a sec/tan singularity")
 
     constraints = {}
+    mu = _parts(coeffs)
     for name, word, part, formula in rows:
-        value = _expr(coeffs, word, part)
+        value = mu[word, part]
         fn = TimeFunction(sp.diff(value, T) if formula is None else value - formula)
         worst = max(abs(fn(t)) for t in probe_times)
         constraints[name] = max(constraints.get(name, 0.0), worst)
@@ -386,21 +410,6 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
     return DysonSolution(params, h, constraints, row.free_parameters, tdde)
 
 
-def model_dyson_params(p, lam):
-    """Frame profiles that make the quartic rotor family Hermitian.
-
-    Closed form of what :func:`solve_dyson` derives for this family:
-    tau = c sec(lam), rho = -c tan(lam) with c the ratio of the shifted
-    mode-coupling to twice the J^2 weight.
-    """
-    lam = TimeFunction(lam)
-    c = (1.0 - p.beta) * p.zeta / 4.0
-    L = lam.expr
-    tau = TimeFunction(c / sp.cos(L))
-    rho = TimeFunction(-c * sp.tan(L))
-    return DysonParams(PtClass.PT2, tau, lam, rho)
-
-
 # ---------------------------------------------------------------------------
 # compliant input generator (used by tests and demos)
 
@@ -408,7 +417,7 @@ def _random_profile(rng, amp=0.5):
     """a + b cos(w t) with |a|, |b| <= amp."""
     a, b = amp * rng.uniform(-1.0, 1.0, size=2)
     w = rng.uniform(0.6, 1.7)
-    return TimeFunction(sp.Float(a) + sp.Float(b) * sp.cos(sp.Float(w) * T))
+    return sp.Float(a) + sp.Float(b) * sp.cos(sp.Float(w) * T)
 
 
 def sample_compliant_inputs(pt_class, rng):
@@ -424,32 +433,26 @@ def sample_compliant_inputs(pt_class, rng):
     exp(|lam| order).
     """
     pt_class = PtClass(pt_class)
-    kwargs = {} if pt_class is PtClass.PT1 else {"lam": _random_profile(rng)}
-    if pt_class is PtClass.PT5:
-        kwargs["tau"] = _random_profile(rng)
+    lam = None if pt_class is PtClass.PT1 else _random_profile(rng)
+    tau = _random_profile(rng) if pt_class is PtClass.PT5 else None
     pattern = REALITY[pt_class]
-    parts = {}
-    for word in COEFF_KEYS:
-        for part in ("re", "im"):
-            if word == "JJ" and part == "re":
-                parts[word, part] = TimeFunction(sp.Float(rng.uniform(1.5, 4.0)))
-            elif pattern.get(word, part) == part:  # a free word draws both parts
-                parts[word, part] = _random_profile(rng, 0.08 if word == "J" else 0.5)
-
-    def coefficient_set():
-        return CoefficientSet({w: (parts.get((w, "re"), 0), parts.get((w, "im"), 0))
-                               for w in COEFF_KEYS})
-
+    mu = {(word, part): sp.S.Zero for word in COEFF_KEYS for part in ("re", "im")}
+    for word, part in mu:
+        if word == "JJ" and part == "re":
+            mu[word, part] = sp.Float(rng.uniform(1.5, 4.0))
+        elif pattern.get(word, part) == part:  # a free word draws both parts
+            mu[word, part] = _random_profile(rng, 0.08 if word == "J" else 0.5)
     build = _CLASSES[pt_class].build
-    lam, tau = kwargs.get("lam"), kwargs.get("tau")
-    for _, word, part, formula in build(coefficient_set(), lam, tau)[1]:
+    for _, word, part, formula in build(mu, lam, tau)[1]:
         if formula is None:
-            parts[word, part] = TimeFunction(sp.Float(rng.uniform(-0.6, 0.6)))
-    for _, word, part, formula in build(coefficient_set(), lam, tau)[1]:
+            mu[word, part] = sp.Float(rng.uniform(-0.6, 0.6))
+    for _, word, part, formula in build(mu, lam, tau)[1]:
         if formula is not None:
-            parts[word, part] = TimeFunction(formula)
+            mu[word, part] = formula
     for word, rule in pattern.items():
         if rule not in ("re", "im"):
-            parts[word, "re"] = parts[rule, "re"]
-            parts[word, "im"] = -parts[rule, "im"]
-    return coefficient_set(), kwargs
+            mu[word, "re"] = mu[rule, "re"]
+            mu[word, "im"] = -mu[rule, "im"]
+    coeffs = CoefficientSet({w: (mu[w, "re"], mu[w, "im"]) for w in COEFF_KEYS})
+    return coeffs, {k: TimeFunction(f) for k, f in (("lam", lam), ("tau", tau))
+                    if f is not None}

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import PAD, commutator, interior_norm
-from .dyson import eta_inverse, eta_matrix, model_dyson_params
-from .model import (CoefficientSet, ModelParams, closed_form_counterpart,
+from .dyson import dyson_params, eta_inverse, eta_matrix
+from .model import (CoefficientSet, ModelParams, PtClass, closed_form_counterpart,
                     model_hamiltonian, realize)
 from .timefunc import TimeFunction
 
@@ -73,7 +73,7 @@ def defining_residual(spec, t, order=64):
 
 def similarity_residual(spec, t, order=64):
     """Two-path check: rotating invariant vs conjugated static invariant."""
-    params = model_dyson_params(spec.params, spec.lam)
+    params = dyson_params(PtClass.PT2, model_hamiltonian(spec.params), spec.lam)[0]
     eta = eta_matrix(params, t, order)
     eta_inv = eta_inverse(params, t, order)
     I_static = realize(invariant_static(spec), 0.0, order)

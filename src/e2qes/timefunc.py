@@ -7,8 +7,7 @@ parser, the grammar check every TimeFunction passes, the printer and the
 evaluator all read that table, so serialized text parses back, and it is
 the very text that is evaluated, with each constant an exact double.
 Wrapping sympy keeps the derivative exact (no step-size tuning in
-residual tests) and makes the antiderivative available for the one place
-it is needed.
+residual tests).
 """
 
 from __future__ import annotations
@@ -131,13 +130,6 @@ class TimeFunction:
                 raise ExpressionError(
                     f"the derivative of {self.serialize()} leaves the grammar") from None
         return self._deriv
-
-    def integrate_from_zero(self):
-        """Definite integral from 0 to t as a new TimeFunction."""
-        anti = sp.integrate(self.expr, T)
-        if anti.has(sp.Integral):
-            raise ExpressionError(f"no elementary antiderivative for {self.serialize()}")
-        return TimeFunction(sp.expand(anti - anti.subs(T, 0)))
 
     def __add__(self, other):
         return TimeFunction(self.expr + TimeFunction(other).expr)

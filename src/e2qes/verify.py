@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PAD, build_generators, commutator, interior_norm
-from .dyson import (DysonParams, adjoint_closed_form, eta_inverse, eta_matrix,
-                    model_dyson_params, sample_compliant_inputs, solve_dyson,
-                    tdde_residual)
+from .dyson import (DysonParams, adjoint_closed_form, dyson_params, eta_inverse,
+                    eta_matrix, sample_compliant_inputs, solve_dyson, tdde_residual)
 from .invariants import (InvariantSpec, commutation_residual, defining_residual,
                          similarity_residual)
 from .model import (ModelParams, PtClass, closed_form_counterpart,
@@ -119,7 +118,7 @@ def check_model_frame_equation():
     for lam_text in _LAMBDA_PROFILES:
         lam = TimeFunction(lam_text)
         hh = closed_form_counterpart(p, lam)
-        params = model_dyson_params(p, lam)
+        params = dyson_params(PtClass.PT2, H, lam)[0]
         bad = DysonParams(params.pt_class, params.tau, params.lam, -params.rho)
         for t in _PROBE_TIMES:
             positive = max(positive, tdde_residual(H, hh, params, t, order=SMALL_ORDER))

@@ -330,16 +330,20 @@ def test_solve_dyson_output_feeds_classify(tmp_path, capsys, lam):
 
 
 def test_solve_dyson_antiderivative_outside_grammar_is_config_error(tmp_path, capsys):
-    # PT1 integrates muJ.im into lambda; 0.1/(1+t^2) integrates to atan
+    # PT1 integrates -muJ.im into lambda: 0.1/(1+t^2) integrates to atan,
+    # 0.1*exp(t^2) to erfi, and sympy finds no antiderivative of sin(sin(t))
     zero = {"re": 0, "im": 0}
-    coeffs = dict({k: zero for k in MODEL_COEFFS}, muJJ={"re": 1, "im": 0},
-                  muJ={"re": 0, "im": "0.1/(1+t^2)"})
-    cfg = _cfg(tmp_path, "d.json", {"class": "PT1", "coefficients": coeffs})
-    assert main(["solve-dyson", "--input", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: function atan not in the grammar "
-                            "(sin, cos, tan, exp, sinh, cosh, tanh, Abs, sign)\n")
+    grammar = "not in the grammar (sin, cos, tan, exp, sinh, cosh, tanh, Abs, sign)"
+    for m_J, err in (("0.1/(1+t^2)", f"function atan {grammar}"),
+                     ("0.1*exp(t^2)", f"function erfi {grammar}"),
+                     ("0.1*sin(sin(t))", "no elementary antiderivative for -0.1*sin(sin(t))")):
+        coeffs = dict({k: zero for k in MODEL_COEFFS}, muJJ={"re": 1, "im": 0},
+                      muJ={"re": 0, "im": m_J})
+        cfg = _cfg(tmp_path, "d.json", {"class": "PT1", "coefficients": coeffs})
+        assert main(["solve-dyson", "--input", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("truncation", ["2", "3", "4"])
@@ -381,12 +385,21 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
      re.escape("three-level closed forms overflow at gamma=1385.75")),
     ("observables", {"zeta": 2.0, "beta": 1.0, "lambda": 0.0, "times": [1.7544954820696083e+307]},
      re.escape("the minus state's energy phase overflows at t=1.7544954820696083e+307")),
+    # lambda = 5t, so exp(lambda J) overflows at the last probe time
+    ("solve-dyson", {"class": "PT1", "coefficients": dict(
+        {k: {"re": 0, "im": 0} for k in MODEL_COEFFS}, muJJ={"re": 1, "im": 0},
+        muJ={"re": 0, "im": -5})},
+     re.escape("the frame map is not finite at t=2.5 with truncation 64")),
+    # tau = c sec(lambda) is about 900, and expm(tau v) overflows
+    ("solve-dyson", _shipped("solve_dyson_pt2.json", **{"lambda": "1.5707"}),
+     re.escape("the frame map is not finite at t=0.0 with truncation 64")),
 ], ids=["observables-negative-zeta", "observables-beta-below-minus-one",
         "wavefunctions-eigensolver", "double-scaling-overflow", "double-scaling-kLow",
         "observables-lambda-non-finite", "wavefunctions-bessel-nan",
         "double-scaling-limit-overflow",
         "observables-small-gamma", "observables-tiny-gamma", "observables-closed-form-overflow",
-        "observables-phase-overflow"])
+        "observables-phase-overflow", "solve-dyson-pt1-frame-overflow",
+        "solve-dyson-pt2-frame-overflow"])
 def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err):
     cfg = _cfg(tmp_path, "p.json", payload)
     with warnings.catch_warnings():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from e2qes import dyson
 from e2qes.algebra import build_generators, interior_norm
 from e2qes.dyson import (DysonParams, ResidualCheckError, adjoint_closed_form,
-                         conjugate_coefficients, eta_inverse, eta_matrix,
-                         model_dyson_params, sample_compliant_inputs,
-                         solve_dyson, tdde_residual)
+                         conjugate_coefficients, dyson_params, eta_inverse,
+                         eta_matrix, sample_compliant_inputs, solve_dyson,
+                         tdde_residual)
 from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY,
                          CoefficientSet, ModelParams, PreconditionError, PtClass,
                          closed_form_counterpart, is_hermitian,
@@ -118,6 +119,17 @@ def test_pt1_parameter_formulas(rng):
     assert dlam(t) == pytest.approx(-coeffs.value("J", t).imag, abs=1e-12)
 
 
+@pytest.mark.parametrize("m_J", ["-cos(t)", "sin(3*t)*exp(t)", "0.1*cos(2*t) + 0.05"])
+def test_pt1_lambda_integrates_minus_im_muJ(m_J):
+    # the PT1 builder integrates in sympy; quadrature is the oracle
+    params = dyson_params(PtClass.PT1, CoefficientSet({"JJ": 1.0, "J": (0, m_J)}))[0]
+    f = TimeFunction(m_J)
+    assert params.lam(0.0) == pytest.approx(0.0, abs=1e-15)
+    for upper in (0.5, 1.7, 3.0):
+        want = -quad(f, 0.0, upper, epsabs=1e-12)[0]
+        assert params.lam(upper) == pytest.approx(want, abs=1e-10)
+
+
 def test_pt1_rejects_profile_arguments(rng):
     coeffs, _ = sample_compliant_inputs(PtClass.PT1, rng)
     with pytest.raises(PreconditionError):
@@ -167,12 +179,8 @@ def test_wrong_class_rejected(rng):
 def test_model_params_match_generic_solver():
     p = ModelParams(zeta=0.5, beta=0.3, level=2.3)
     lam = TimeFunction.parse("0.4*sin(t)")
-    direct = model_dyson_params(p, lam)
     sol = solve_dyson(PtClass.PT2, model_hamiltonian(p), lam=lam, order=ORDER)
-    for t in (0.0, 0.9, 2.0):
-        assert direct.tau(t) == pytest.approx(sol.params.tau(t), abs=1e-13)
-        assert direct.rho(t) == pytest.approx(sol.params.rho(t), abs=1e-13)
-    # and the mapped coefficients match the hand-derived counterpart
+    # the mapped coefficients match the hand-derived counterpart
     hh = closed_form_counterpart(p, lam)
     for t in (0.0, 0.9):
         for key in ("JJ", "J", "u", "v", "uu", "vv", "uv"):
@@ -184,7 +192,6 @@ def test_pt3_static_imaginary_part_suffices():
     # the derivation needs only Im(mu_uJ) static; the solver is stricter
     # (contract), but the conjugation map itself stays consistent when
     # the real part drifts along its constraint track.
-    t_sym = TimeFunction.parse("t")
     r = 0.2 + 0.1 * TimeFunction.parse("cos(t)")
     s = TimeFunction(0.3)
     mjj = TimeFunction(2.0)
@@ -215,7 +222,6 @@ def test_pt3_static_imaginary_part_suffices():
     # while the solver, per contract, rejects the drifting real part
     with pytest.raises(PreconditionError, match="uJ_static"):
         solve_dyson(PtClass.PT3, coeffs, lam=lam)
-    del t_sym
 
 
 def _shift(coeffs, cls, word, part, step):
@@ -232,9 +238,7 @@ def _shift(coeffs, cls, word, part, step):
 @pytest.mark.parametrize("cls", list(PtClass))
 def test_every_constraint_row_is_live(cls, rng):
     coeffs, kwargs = sample_compliant_inputs(cls, rng)
-    build = dyson._CLASSES[cls].build
-    lam, tau = kwargs.get("lam"), kwargs.get("tau")
-    rows = build(coeffs, lam, tau)[1]
+    rows = dyson_params(cls, coeffs, **kwargs)[1]
     formulas = [formula for *_, formula in rows]
     for name, word, part, formula in rows:
         step = TimeFunction.parse("1e-6" if formula is not None else "1e-6*(1+t)")
@@ -244,14 +248,14 @@ def test_every_constraint_row_is_live(cls, rng):
         if formula is not None:
             # no formula reads a part that a formula sets, so the sampler
             # solves the rows in one pass
-            assert [f for *_, f in build(moved, lam, tau)[1]] == formulas
+            assert [f for *_, f in dyson_params(cls, moved, **kwargs)[1]] == formulas
 
 
 def test_residual_self_check_catches_forced_breakage(rng):
     # sign-flipped rho is the canonical negative control
     p = ModelParams(zeta=1.5, beta=0.3, level=2.3)
     lam = TimeFunction.parse("sin(t)")
-    params = model_dyson_params(p, lam)
+    params = dyson_params(PtClass.PT2, model_hamiltonian(p), lam)[0]
     bad = DysonParams(params.pt_class, params.tau, params.lam, -params.rho)
     hh = closed_form_counterpart(p, lam)
     H = model_hamiltonian(p)
@@ -294,9 +298,8 @@ def test_self_check_catches_flipped_rho(rng, monkeypatch):
     row = dyson._CLASSES[PtClass.PT2]
 
     def flipped(*args):
-        params, residuals = row.build(*args)
-        return DysonParams(params.pt_class, params.tau, params.lam,
-                           -params.rho), residuals
+        slots, rows = row.build(*args)
+        return (slots[0], slots[1], -slots[2]), rows
 
     monkeypatch.setitem(dyson._CLASSES, PtClass.PT2, row._replace(build=flipped))
     with pytest.raises(ResidualCheckError, match="Hermiticity"):

@@ -7,8 +7,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
+from e2qes.dyson import dyson_params
+from e2qes.model import CoefficientSet, PtClass
 from e2qes.timefunc import GRAMMAR, ExpressionError, TimeFunction
 
 
@@ -73,9 +74,21 @@ def test_internal_expressions_are_held_to_the_grammar():
         TimeFunction(sp.atan(t))
 
 
+def _pt1_lambda(m_J):
+    # PT1 integrates -Im muJ into lambda, the one antiderivative the package builds
+    return dyson_params(PtClass.PT1, CoefficientSet({"JJ": 1.0, "J": (0, m_J)}))[0].lam
+
+
 def test_antiderivative_outside_the_grammar_is_rejected_when_built():
     with pytest.raises(ExpressionError, match="function atan not in the grammar"):
-        TimeFunction.parse("0.1/(1+t^2)").integrate_from_zero()
+        _pt1_lambda("0.1/(1+t^2)")
+
+
+def test_integrate_rejects_nonelementary():
+    with pytest.raises(ExpressionError, match="no elementary antiderivative"):
+        _pt1_lambda("sin(sin(t))")
+    with pytest.raises(ExpressionError, match="function erfi not in the grammar"):
+        _pt1_lambda("exp(t^2)")
 
 
 @pytest.mark.parametrize("text,want", [
@@ -115,32 +128,6 @@ def test_derivative():
 def test_derivative_cached():
     f = TimeFunction.parse("t^2")
     assert f.derivative() is f.derivative()
-
-
-def test_integrate_from_zero():
-    f = TimeFunction.parse("cos(t)")
-    F = f.integrate_from_zero()
-    assert F(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert F(1.1) == pytest.approx(math.sin(1.1), abs=1e-14)
-
-
-def test_integrate_rejects_nonelementary():
-    with pytest.raises(ExpressionError):
-        TimeFunction.parse("exp(t^2)").integrate_from_zero()
-
-
-def test_integrate_from_zero_matches_quadrature():
-    f = TimeFunction.parse("sin(3*t)*exp(t)")
-    want, _ = quad(f, 0.0, 2.0, epsabs=1e-12)
-    assert f.integrate_from_zero()(2.0) == pytest.approx(want, abs=1e-10)
-
-
-def test_quadrature_cross_checks_symbolic_route():
-    # the two integration routes must agree on the solver's own use case
-    f = TimeFunction.parse("0.1*cos(2*t) + 0.05")
-    F = f.integrate_from_zero()
-    for upper in (0.5, 1.7, 3.0):
-        assert quad(f, 0.0, upper)[0] == pytest.approx(F(upper), abs=1e-10)
 
 
 def test_arithmetic():
