@@ -62,8 +62,7 @@ def _coefficient_set(terms):
     pairs = {}
     for k, x in terms.items():
         re, im = sp.expand(x).as_independent(sp.I, as_Add=True)
-        im = sp.Add(*(term / sp.I for term in sp.Add.make_args(im)))
-        pairs[k] = (TimeFunction(re), TimeFunction(im))
+        pairs[k] = (re, sp.Add(*(term / sp.I for term in sp.Add.make_args(im))))
     return CoefficientSet(pairs)
 
 
@@ -354,7 +353,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
             raise PreconditionError(f"{pt_class.value} requires a lam profile function")
         lam = TimeFunction(lam)
         if pt_class is PtClass.PT5:
-            tau = TimeFunction(tau) if tau is not None else TimeFunction.zero()
+            tau = TimeFunction(0 if tau is None else tau)
         elif tau is not None:
             raise PreconditionError(f"{pt_class.value} does not accept a tau profile")
         # differentiate the given profiles first, so a derivative outside

@@ -7,7 +7,7 @@ frame-rotation term.  Residuals are measured in the truncation interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import PAD, commutator, interior_norm
 from .dyson import dyson_params, eta_inverse, eta_matrix
@@ -21,7 +21,7 @@ class InvariantSpec:
     """Model instance plus the free Casimir weight of its invariant."""
 
     params: ModelParams
-    lam: TimeFunction = field(default_factory=TimeFunction.zero)
+    lam: TimeFunction = 0
     nu_vv: float = 0.0
 
     def __post_init__(self):
@@ -35,7 +35,7 @@ class InvariantSpec:
 def _plus_casimir(terms, spec):
     """Coefficient set of the word terms plus the Casimir multiple."""
     w = float(spec.casimir_weight)
-    return CoefficientSet(dict(terms, **{k: (terms[k][0] + w, terms[k][1])
+    return CoefficientSet(dict(terms, **{k: (terms[k][0].expr + w, terms[k][1])
                                          for k in ("uu", "vv")}))
 
 
@@ -62,22 +62,31 @@ def commutation_residual(spec, order=64):
     return num / den
 
 
-def defining_residual(spec, t, order=64):
-    """Interior norm of dI/dt - i [I, h] for the rotating-frame invariant."""
-    h = realize(closed_form_counterpart(spec.params, spec.lam), t, order)
+def defining_residual(spec, times, order=64):
+    """Largest interior norm of dI/dt - i [I, h] over the times, for the
+    rotating-frame invariant."""
+    hh = closed_form_counterpart(spec.params, spec.lam)
     inv = invariant_rotating(spec)
-    I = realize(inv, t, order)
-    defect = realize(inv.derivative(), t, order) + (-1j) * commutator(I, h)
-    return interior_norm(defect, PAD) / (1.0 + interior_norm(I, PAD))
+    d_inv = inv.derivative()
+    worst = 0.0
+    for t in times:
+        h = realize(hh, t, order)
+        I = realize(inv, t, order)
+        defect = realize(d_inv, t, order) + (-1j) * commutator(I, h)
+        worst = max(worst, interior_norm(defect, PAD) / (1.0 + interior_norm(I, PAD)))
+    return worst
 
 
-def similarity_residual(spec, t, order=64):
-    """Two-path check: rotating invariant vs conjugated static invariant."""
+def similarity_residual(spec, times, order=64):
+    """Two-path check over the times: rotating invariant vs conjugated
+    static invariant; the largest relative interior difference."""
     params = dyson_params(PtClass.PT2, model_hamiltonian(spec.params), spec.lam)[0]
-    eta = eta_matrix(params, t, order)
-    eta_inv = eta_inverse(params, t, order)
     I_static = realize(invariant_static(spec), 0.0, order)
-    direct = realize(invariant_rotating(spec), t, order)
-    conjugated = eta @ I_static @ eta_inv
-    diff = direct - conjugated
-    return interior_norm(diff, PAD) / (1.0 + interior_norm(direct, PAD))
+    inv = invariant_rotating(spec)
+    worst = 0.0
+    for t in times:
+        direct = realize(inv, t, order)
+        conjugated = eta_matrix(params, t, order) @ I_static @ eta_inverse(params, t, order)
+        worst = max(worst, interior_norm(direct - conjugated, PAD)
+                    / (1.0 + interior_norm(direct, PAD)))
+    return worst

@@ -34,24 +34,19 @@ class PreconditionError(ValueError):
     """Input violates a documented contract of an operation."""
 
 
-def _as_timefunction(value):
-    if isinstance(value, TimeFunction):
-        return value
-    return TimeFunction(value)
-
-
 class CoefficientSet:
     """Nine (re, im) pairs of time functions, one per basis word.
 
     Missing words default to zero.  Values may be given as a complex
-    constant, a single TimeFunction/str/number (real part), or an
-    explicit (re, im) pair.
+    constant, a single TimeFunction/str/number/sympy expression (real
+    part), or an explicit (re, im) pair of those; each part is wrapped
+    in a TimeFunction here.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        zero = TimeFunction.zero()
+        zero = TimeFunction(0)
         data = {k: (zero, zero) for k in COEFF_KEYS}
         for key, value in dict(terms or {}).items():
             if key not in data:
@@ -64,10 +59,10 @@ class CoefficientSet:
         if isinstance(value, tuple):
             if len(value) != 2:
                 raise ValueError("coefficient pair must be (re, im)")
-            return (_as_timefunction(value[0]), _as_timefunction(value[1]))
+            return (TimeFunction(value[0]), TimeFunction(value[1]))
         if isinstance(value, complex):
             return (TimeFunction(value.real), TimeFunction(value.imag))
-        return (_as_timefunction(value), TimeFunction.zero())
+        return (TimeFunction(value), TimeFunction(0))
 
     @classmethod
     def from_json_dict(cls, data):
@@ -91,7 +86,7 @@ class CoefficientSet:
                         and abs(value) <= sys.float_info.max)):
                     raise ValueError(
                         f"{json_key}.{part} must be an expression string or a finite number")
-            terms[key] = (_as_timefunction(entry["re"]), _as_timefunction(entry["im"]))
+            terms[key] = (entry["re"], entry["im"])
         return cls(terms)
 
     def to_json_dict(self):
@@ -254,23 +249,19 @@ def closed_form_counterpart(p, lam):
     must reproduce it coefficient by coefficient, which the test suite
     checks.  All entries are real.
     """
-    lam = _as_timefunction(lam)
+    lam = TimeFunction(lam)
     m_jj = 4.0
     m_uj = 2.0 * (1.0 - p.beta) * p.zeta
     m_v = 2.0 * p.zeta * p.level
     m_vv = -p.beta * p.zeta ** 2
-    sin, cos = _sin_cos(lam)
+    sin, cos = sp.sin(lam.expr), sp.cos(lam.expr)
     q = m_uj ** 2 / (4.0 * m_jj)
     return CoefficientSet({
-        "JJ": TimeFunction(m_jj),
-        "J": -lam.derivative(),
+        "JJ": m_jj,
+        "J": -lam.derivative().expr,
         "u": sin * (0.5 * m_uj - m_v),
         "v": cos * (m_v - 0.5 * m_uj),
         "uu": q * cos * cos + m_vv * sin * sin,
         "vv": q * sin * sin + m_vv * cos * cos,
         "uv": (2.0 * sin * cos) * (q - m_vv),
     })
-
-
-def _sin_cos(lam):
-    return TimeFunction(sp.sin(lam.expr)), TimeFunction(sp.cos(lam.expr))

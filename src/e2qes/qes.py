@@ -113,11 +113,16 @@ def quantization_eigenvalues(sector, n_hat, zeta, beta):
     zeta, beta = float(zeta), float(beta)
     diag, off = _jacobi(sector, int(n_hat), (1.0 + beta) * zeta)
     shift = beta * (zeta * zeta)
+    overflow = PreconditionError(
+        f"zeta={zeta} overflows the {sector} sector recurrence at beta={beta}")
     if not (np.all(np.isfinite(off)) and np.isfinite(shift)):
-        raise PreconditionError(
-            f"zeta={zeta} overflows the {sector} sector recurrence at beta={beta}")
+        raise overflow
     lambdas = _eigh(diag, off, zeta, beta, eigvals_only=True)
-    return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, lambdas - shift)
+    with np.errstate(over="ignore"):
+        energies = lambdas - shift
+    if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(energies))):
+        raise overflow
+    return QesSpectrum(sector, int(n_hat), zeta, beta, lambdas, energies)
 
 
 def closed_form_eigenvalues(sector, n_hat, gamma):
@@ -270,7 +275,10 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
 
     if shift != 0.0:
         ks = np.arange(-ext, ext + 1)
-        modes = modes * np.exp(1j * ks * shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            modes = modes * np.exp(1j * ks * shift)
+        if not np.all(np.isfinite(modes)):
+            raise PreconditionError(f"shift={shift} overflows the mode phases n*shift")
 
     total = float(np.sum(np.abs(modes) ** 2))
     tail = total - float(np.sum(np.abs(modes[16:-16]) ** 2))

@@ -77,7 +77,8 @@ class TimeFunction:
 
     Accepts numbers, sympy expressions or other TimeFunctions.  Use
     :meth:`parse` for text input; plain ``str`` arguments go through the
-    same strict parser.
+    same strict parser.  There is no arithmetic on TimeFunctions: build a
+    formula as a sympy expression (``f.expr``) and wrap the result once.
     """
 
     __slots__ = ("expr", "_fn", "_deriv")
@@ -101,10 +102,6 @@ class TimeFunction:
         if not isinstance(text, str):
             raise ExpressionError(f"expected an expression string, got {type(text).__name__}")
         return cls(_parse_text(text))
-
-    @classmethod
-    def zero(cls):
-        return cls(0)
 
     def __call__(self, t):
         if self._fn is None:
@@ -130,28 +127,6 @@ class TimeFunction:
                 raise ExpressionError(
                     f"the derivative of {self.serialize()} leaves the grammar") from None
         return self._deriv
-
-    def __add__(self, other):
-        return TimeFunction(self.expr + TimeFunction(other).expr)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TimeFunction(self.expr - TimeFunction(other).expr)
-
-    def __rsub__(self, other):
-        return TimeFunction(TimeFunction(other).expr - self.expr)
-
-    def __mul__(self, other):
-        return TimeFunction(self.expr * TimeFunction(other).expr)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return TimeFunction(self.expr / TimeFunction(other).expr)
-
-    def __neg__(self):
-        return TimeFunction(-self.expr)
 
     def __eq__(self, other):
         if not isinstance(other, TimeFunction):

@@ -119,7 +119,8 @@ def check_model_frame_equation():
         lam = TimeFunction(lam_text)
         hh = closed_form_counterpart(p, lam)
         params = dyson_params(PtClass.PT2, H, lam)[0]
-        bad = DysonParams(params.pt_class, params.tau, params.lam, -params.rho)
+        bad = DysonParams(params.pt_class, params.tau, params.lam,
+                          TimeFunction(-params.rho.expr))
         for t in _PROBE_TIMES:
             positive = max(positive, tdde_residual(H, hh, params, t, order=SMALL_ORDER))
             flipped = max(flipped, tdde_residual(H, hh, bad, t, order=SMALL_ORDER))
@@ -282,9 +283,8 @@ def check_invariants():
         for nu_vv in (0.0, 0.7):
             spec = InvariantSpec(p, lam_text, nu_vv=nu_vv)
             comm = max(comm, commutation_residual(spec))
-            for t in _PROBE_TIMES:
-                defining = max(defining, defining_residual(spec, t))
-                similar = max(similar, similarity_residual(spec, t))
+            defining = max(defining, defining_residual(spec, _PROBE_TIMES))
+            similar = max(similar, similarity_residual(spec, _PROBE_TIMES))
     passed = comm <= 1e-10 and defining <= 1e-8 and similar <= 1e-8
     return CheckResult(
         name="invariant_relations",

@@ -393,13 +393,20 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
     # tau = c sec(lambda) is about 900, and expm(tau v) overflows
     ("solve-dyson", _shipped("solve_dyson_pt2.json", **{"lambda": "1.5707"}),
      re.escape("the frame map is not finite at t=0.0 with truncation 64")),
+    # the Jacobi entries are finite, its extreme eigenvalues are not
+    ("spectrum", {"sector": "cos", "nHat": 3, "zeta": 0.5, "beta": 1e308},
+     re.escape("zeta=0.5 overflows the cos sector recurrence at beta=1e+308")),
+    # n * shift overflows, and exp(i inf) is NaN
+    ("wavefunctions", _shipped("wavefunction_cos2.json", shift=1e308),
+     re.escape("shift=1e+308 overflows the mode phases n*shift")),
 ], ids=["observables-negative-zeta", "observables-beta-below-minus-one",
         "wavefunctions-eigensolver", "double-scaling-overflow", "double-scaling-kLow",
         "observables-lambda-non-finite", "wavefunctions-bessel-nan",
         "double-scaling-limit-overflow",
         "observables-small-gamma", "observables-tiny-gamma", "observables-closed-form-overflow",
         "observables-phase-overflow", "solve-dyson-pt1-frame-overflow",
-        "solve-dyson-pt2-frame-overflow"])
+        "solve-dyson-pt2-frame-overflow", "spectrum-eigenvalue-overflow",
+        "wavefunctions-shift-overflow"])
 def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err):
     cfg = _cfg(tmp_path, "p.json", payload)
     with warnings.catch_warnings():

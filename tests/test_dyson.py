@@ -1,5 +1,9 @@
+import os
+import re
+
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 
 from e2qes import dyson
@@ -12,7 +16,7 @@ from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY,
                          CoefficientSet, ModelParams, PreconditionError, PtClass,
                          closed_form_counterpart, is_hermitian,
                          model_hamiltonian, realize)
-from e2qes.timefunc import TimeFunction
+from e2qes.timefunc import T, TimeFunction
 
 ORDER = 24
 PAD = 4
@@ -192,28 +196,22 @@ def test_pt3_static_imaginary_part_suffices():
     # the derivation needs only Im(mu_uJ) static; the solver is stricter
     # (contract), but the conjugation map itself stays consistent when
     # the real part drifts along its constraint track.
-    r = 0.2 + 0.1 * TimeFunction.parse("cos(t)")
-    s = TimeFunction(0.3)
-    mjj = TimeFunction(2.0)
-    mj = TimeFunction(0.1)
-    lam = TimeFunction.parse("0.3*sin(t)")
-    sec = TimeFunction(1.0) / TimeFunction.parse("cos(0.3*sin(t))")
-    tan = TimeFunction.parse("sin(0.3*sin(t))") / TimeFunction.parse(
-        "cos(0.3*sin(t))")
-    tau = s * sec / (2.0 * mjj)
-    rho = s * (1.0 - tan) / (2.0 * mjj)
-    params = DysonParams(PtClass.PT3, tau, lam, rho)
-    zero = TimeFunction.zero()
+    r = 0.2 + 0.1 * sp.cos(T)
+    s, mjj, mj = 0.3, 2.0, 0.1
+    lam = 0.3 * sp.sin(T)
+    tau = s / sp.cos(lam) / (2.0 * mjj)
+    rho = s * (1.0 - sp.sin(lam) / sp.cos(lam)) / (2.0 * mjj)
+    params = DysonParams(PtClass.PT3, *map(TimeFunction, (tau, lam, rho)))
     coeffs = CoefficientSet({
-        "JJ": (mjj, zero),
-        "J": (mj, zero),
+        "JJ": mjj,
+        "J": mj,
         "uJ": (r, s),
         "vJ": (r, -s),
-        "u": (TimeFunction(0.15), 0.5 * r + s * mj / (2.0 * mjj)),
-        "v": (TimeFunction(0.15), -(0.5 * r + s * mj / (2.0 * mjj))),
-        "uu": (TimeFunction(0.2), r * s / (2.0 * mjj)),
-        "vv": (TimeFunction(0.2), -(r * s / (2.0 * mjj))),
-        "uv": (TimeFunction(0.25), zero),
+        "u": (0.15, 0.5 * r + s * mj / (2.0 * mjj)),
+        "v": (0.15, -(0.5 * r + s * mj / (2.0 * mjj))),
+        "uu": (0.2, r * s / (2.0 * mjj)),
+        "vv": (0.2, -(r * s / (2.0 * mjj))),
+        "uv": 0.25,
     })
     h = conjugate_coefficients(coeffs, params)
     for t in (0.0, 0.7, 1.9):
@@ -226,7 +224,7 @@ def test_pt3_static_imaginary_part_suffices():
 
 def _shift(coeffs, cls, word, part, step):
     """coeffs with step added to one part, conjugate partner moved to match."""
-    terms = {w: list(coeffs.pair(w)) for w in COEFF_KEYS}
+    terms = {w: [f.expr for f in coeffs.pair(w)] for w in COEFF_KEYS}
     k = ("re", "im").index(part)
     terms[word][k] = terms[word][k] + step
     for w, rule in REALITY[cls].items():
@@ -241,7 +239,7 @@ def test_every_constraint_row_is_live(cls, rng):
     rows = dyson_params(cls, coeffs, **kwargs)[1]
     formulas = [formula for *_, formula in rows]
     for name, word, part, formula in rows:
-        step = TimeFunction.parse("1e-6" if formula is not None else "1e-6*(1+t)")
+        step = 1e-6 if formula is not None else 1e-6 * (1 + T)
         moved = _shift(coeffs, cls, word, part, step)
         with pytest.raises(PreconditionError, match=rf"\b{name}=1\.0"):
             solve_dyson(cls, moved, order=ORDER, **kwargs)
@@ -256,7 +254,8 @@ def test_residual_self_check_catches_forced_breakage(rng):
     p = ModelParams(zeta=1.5, beta=0.3, level=2.3)
     lam = TimeFunction.parse("sin(t)")
     params = dyson_params(PtClass.PT2, model_hamiltonian(p), lam)[0]
-    bad = DysonParams(params.pt_class, params.tau, params.lam, -params.rho)
+    bad = DysonParams(params.pt_class, params.tau, params.lam,
+                      TimeFunction(-params.rho.expr))
     hh = closed_form_counterpart(p, lam)
     H = model_hamiltonian(p)
     good = max(tdde_residual(H, hh, params, t, order=32) for t in (0.3, 1.7))
@@ -321,3 +320,14 @@ def test_solver_output_reads_back(cls, rng):
     for f, g in pairs:
         for t in DEFAULT_PROBE_TIMES:
             assert abs(g(t) - f(t)) <= 1e-15 * (1.0 + abs(f(t)))
+
+
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        block = re.search(r"## Library example\n+```python\n(.*?)```", fh.read(), re.S)[1]
+    exec(block, {})
+    classes, residual = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*# (.*)$", block, re.M)
+    assert classes == comments[0]
+    assert float(residual) <= 1e-14  # the comment says ~1e-16

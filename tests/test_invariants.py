@@ -18,21 +18,19 @@ def test_static_invariant_commutes(spec):
 
 
 def test_defining_relation(spec):
-    for t in (0.0, 0.5, 1.4):
-        assert defining_residual(spec, t) <= 1e-10
+    assert defining_residual(spec, (0.0, 0.5, 1.4)) <= 1e-10
 
 
 def test_similarity_two_paths(spec):
-    for t in (0.0, 0.5, 1.4):
-        assert similarity_residual(spec, t) <= 1e-10
+    assert similarity_residual(spec, (0.0, 0.5, 1.4)) <= 1e-10
 
 
 def test_nonzero_casimir_weight_still_invariant():
     spec = InvariantSpec(ModelParams.quantized(2, 0.5, 0.3), "sin(t)",
                          nu_vv=1.3)
     assert commutation_residual(spec) <= 1e-12
-    assert defining_residual(spec, 0.9) <= 1e-10
-    assert similarity_residual(spec, 0.9) <= 1e-10
+    assert defining_residual(spec, (0.9,)) <= 1e-10
+    assert similarity_residual(spec, (0.9,)) <= 1e-10
 
 
 def test_analytic_derivative_against_finite_difference(spec):

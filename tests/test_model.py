@@ -163,7 +163,7 @@ def test_counterpart_static_limit():
     # at lam = 0 the counterpart reduces to the Hermitian part structure:
     # J^2 and v words survive, u-type words vanish
     p = ModelParams(zeta=0.5, beta=0.3, level=2.3)
-    hh = closed_form_counterpart(p, TimeFunction.zero())
+    hh = closed_form_counterpart(p, TimeFunction(0))
     assert hh.value("JJ", 0.0) == pytest.approx(4.0)
     assert hh.value("J", 0.0) == pytest.approx(0.0)
     assert hh.value("u", 0.0) == pytest.approx(0.0)
