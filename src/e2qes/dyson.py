@@ -174,7 +174,7 @@ def _finite(m, t, order):
     return m
 
 
-def tdde_residual(coeffs, h_coeffs, params, t, order=32):
+def tdde_residual(coeffs, h_coeffs, params, t, order):
     """Relative interior residual of h eta - eta H - (gauge) eta at time t.
 
     h_coeffs may be a CoefficientSet or a word -> value mapping at t.
@@ -209,7 +209,7 @@ class DysonSolution:
 
 # A builder reads mu, the map (word, part) -> sympy expression of the
 # coefficient parts, and the free profiles lam and tau (sympy
-# expressions; a class that fixes one ignores it, so None will do).  It
+# expressions, None where the class's row does not name them).  It
 # returns the profiles (tau, lam, rho) and its constraint rows (name,
 # word, part, formula): that part of that word's coefficient equals
 # formula, or is constant in time when formula is None.  No formula reads
@@ -283,7 +283,9 @@ def _build_pt5(mu, lam, tau):
 
 
 # per class: the slots (tau, lam, rho) that enter the map times i, the
-# phaseConvention text, free parameters, builder, and sec/tan(lam) profiles
+# phaseConvention text, free parameters (the profiles "lambda" and "tau"
+# the caller may give, then the coefficients the map reads), builder, and
+# sec/tan(lam) profiles
 _Class = namedtuple("_Class", "phases convention free_parameters build sec_tan")
 _SEC_TAN = "lambda imaginary, tau and rho real"
 _CLASSES = {
@@ -313,13 +315,24 @@ def _parts(coeffs):
 def dyson_params(pt_class, coeffs, lam=None, tau=None):
     """Frame profiles and constraint rows of one class for a coefficient set.
 
-    lam and tau are the free profiles the class leaves open (lam for all
-    but the first class, tau for the fifth); an omitted one is 0.
-    Returns (DysonParams, rows) with each row (name, word, part, formula)
-    as :func:`solve_dyson` checks it; the rows are not checked here.
+    lam and tau are the free profiles the class's row names: a named
+    lambda is required, a named tau defaults to 0 and an unnamed profile
+    is refused.  The given profiles are differentiated first, so a
+    derivative outside the grammar is reported on the text the caller
+    wrote.  Returns (DysonParams, rows) with each row (name, word, part,
+    formula) as :func:`solve_dyson` checks it; the rows are not checked here.
     """
-    free = (TimeFunction(0 if f is None else f).expr for f in (lam, tau))
-    profiles, rows = _CLASSES[pt_class].build(_parts(coeffs), *free)
+    named = _CLASSES[pt_class].free_parameters
+    free = []
+    for name, f in (("lambda", lam), ("tau", tau)):
+        if f is not None and name not in named:
+            raise PreconditionError(f"{pt_class.value} does not accept a {name} profile")
+        if f is None and name in named and name == "lambda":
+            raise PreconditionError(f"{pt_class.value} requires a lam profile function")
+        free.append(TimeFunction(0 if f is None else f) if name in named else None)
+    for f in filter(None, free):
+        f.derivative()
+    profiles, rows = _CLASSES[pt_class].build(_parts(coeffs), *(f and f.expr for f in free))
     return DysonParams(pt_class, *map(TimeFunction, profiles)), rows
 
 
@@ -327,12 +340,11 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
                 probe_times=DEFAULT_PROBE_TIMES, order=32, tolerance=1e-8):
     """Construct the frame map for one symmetry class and apply it.
 
-    The caller supplies the free profile functions the class leaves
-    open (lam for all but the first class, tau additionally for the
-    fifth); everything else is read off the coefficient set.  Input
-    constraints are checked numerically at the probe times, and the
-    returned Hermitian image is re-verified against the defining
-    operator relation before it is handed back.
+    The caller supplies the free profile functions the class's row
+    names (see :func:`dyson_params`); everything else is read off the
+    coefficient set.  Input constraints are checked numerically at the
+    probe times, and the returned Hermitian image is re-verified against
+    the defining operator relation before it is handed back.
     """
     if not isinstance(pt_class, PtClass):
         pt_class = PtClass(str(pt_class))
@@ -342,25 +354,6 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
         raise PreconditionError(
             f"coefficients do not satisfy the {pt_class.value} reality pattern "
             f"(detected: {', '.join(names)})")
-
-    if pt_class is PtClass.PT1:
-        if lam is not None or tau is not None:
-            raise PreconditionError(
-                "the first class fixes its profile functions internally; "
-                "lam and tau must not be supplied")
-    else:
-        if lam is None:
-            raise PreconditionError(f"{pt_class.value} requires a lam profile function")
-        lam = TimeFunction(lam)
-        if pt_class is PtClass.PT5:
-            tau = TimeFunction(0 if tau is None else tau)
-        elif tau is not None:
-            raise PreconditionError(f"{pt_class.value} does not accept a tau profile")
-        # differentiate the given profiles first, so a derivative outside
-        # the grammar is reported on the text the caller wrote
-        lam.derivative()
-        if tau is not None:
-            tau.derivative()
 
     jj_re = coeffs.pair("JJ")[0]
     if max(abs(jj_re.derivative()(t)) for t in probe_times) > 1e-8:
@@ -432,8 +425,9 @@ def sample_compliant_inputs(pt_class, rng):
     exp(|lam| order).
     """
     pt_class = PtClass(pt_class)
-    lam = None if pt_class is PtClass.PT1 else _random_profile(rng)
-    tau = _random_profile(rng) if pt_class is PtClass.PT5 else None
+    row = _CLASSES[pt_class]
+    lam, tau = (_random_profile(rng) if name in row.free_parameters else None
+                for name in ("lambda", "tau"))
     pattern = REALITY[pt_class]
     mu = {(word, part): sp.S.Zero for word in COEFF_KEYS for part in ("re", "im")}
     for word, part in mu:
@@ -441,11 +435,10 @@ def sample_compliant_inputs(pt_class, rng):
             mu[word, part] = sp.Float(rng.uniform(1.5, 4.0))
         elif pattern.get(word, part) == part:  # a free word draws both parts
             mu[word, part] = _random_profile(rng, 0.08 if word == "J" else 0.5)
-    build = _CLASSES[pt_class].build
-    for _, word, part, formula in build(mu, lam, tau)[1]:
+    for _, word, part, formula in row.build(mu, lam, tau)[1]:
         if formula is None:
             mu[word, part] = sp.Float(rng.uniform(-0.6, 0.6))
-    for _, word, part, formula in build(mu, lam, tau)[1]:
+    for _, word, part, formula in row.build(mu, lam, tau)[1]:
         if formula is not None:
             mu[word, part] = formula
     for word, rule in pattern.items():

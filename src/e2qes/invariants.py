@@ -15,6 +15,8 @@ from .model import (CoefficientSet, ModelParams, PtClass, closed_form_counterpar
                     model_hamiltonian, realize)
 from .timefunc import TimeFunction
 
+ORDER = 64  # mode truncation of every residual
+
 
 @dataclass(frozen=True)
 class InvariantSpec:
@@ -53,16 +55,16 @@ def invariant_rotating(spec):
     return _plus_casimir({k: v for k, v in hh.items() if k != "J"}, spec)
 
 
-def commutation_residual(spec, order=64):
+def commutation_residual(spec):
     """Interior norm of [I, H] in the static frame, relative to |I| |H|."""
-    H = realize(model_hamiltonian(spec.params), 0.0, order)
-    I = realize(invariant_static(spec), 0.0, order)
+    H = realize(model_hamiltonian(spec.params), 0.0, ORDER)
+    I = realize(invariant_static(spec), 0.0, ORDER)
     num = interior_norm(commutator(I, H), PAD)
     den = 1.0 + interior_norm(I, PAD) * interior_norm(H, PAD)
     return num / den
 
 
-def defining_residual(spec, times, order=64):
+def defining_residual(spec, times):
     """Largest interior norm of dI/dt - i [I, h] over the times, for the
     rotating-frame invariant."""
     hh = closed_form_counterpart(spec.params, spec.lam)
@@ -70,23 +72,23 @@ def defining_residual(spec, times, order=64):
     d_inv = inv.derivative()
     worst = 0.0
     for t in times:
-        h = realize(hh, t, order)
-        I = realize(inv, t, order)
-        defect = realize(d_inv, t, order) + (-1j) * commutator(I, h)
+        h = realize(hh, t, ORDER)
+        I = realize(inv, t, ORDER)
+        defect = realize(d_inv, t, ORDER) + (-1j) * commutator(I, h)
         worst = max(worst, interior_norm(defect, PAD) / (1.0 + interior_norm(I, PAD)))
     return worst
 
 
-def similarity_residual(spec, times, order=64):
+def similarity_residual(spec, times):
     """Two-path check over the times: rotating invariant vs conjugated
     static invariant; the largest relative interior difference."""
     params = dyson_params(PtClass.PT2, model_hamiltonian(spec.params), spec.lam)[0]
-    I_static = realize(invariant_static(spec), 0.0, order)
+    I_static = realize(invariant_static(spec), 0.0, ORDER)
     inv = invariant_rotating(spec)
     worst = 0.0
     for t in times:
-        direct = realize(inv, t, order)
-        conjugated = eta_matrix(params, t, order) @ I_static @ eta_inverse(params, t, order)
+        direct = realize(inv, t, ORDER)
+        conjugated = eta_matrix(params, t, ORDER) @ I_static @ eta_inverse(params, t, ORDER)
         worst = max(worst, interior_norm(direct - conjugated, PAD)
                     / (1.0 + interior_norm(direct, PAD)))
     return worst

@@ -166,9 +166,9 @@ def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES, tol=1e-12):
 
 @functools.lru_cache(maxsize=32)
 def _word_matrices(order):
-    J, u, v = build_generators(order)
-    words = {"JJ": J @ J, "J": J, "u": u, "v": v, "uJ": u @ J, "vJ": v @ J,
-             "uu": u @ u, "vv": v @ v, "uv": u @ v}
+    """Each word as the product of its letters' generators in written order."""
+    letters = dict(zip("Juv", build_generators(order)))
+    words = {w: functools.reduce(np.matmul, map(letters.get, w)) for w in COEFF_KEYS}
     for w in words.values():
         w.setflags(write=False)
     return words

@@ -1,9 +1,10 @@
 """Grid-based states, expectation values and the closed three-level system.
 
-States live on a uniform angular grid; the mode-number operator acts
-through the FFT, multiplication operators act pointwise.  The
-three-level family (quantized level 2) is implemented from its closed
-forms and doubles as the reference solution for time-dependent checks.
+States are samples on a uniform angular grid (a mode vector comes in
+through :func:`modes_to_grid`); the mode-number operator acts through the
+FFT, multiplication operators act pointwise.  The three-level family
+(quantized level 2) is implemented from its closed forms and doubles as
+the reference solution for time-dependent checks.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PreconditionError, closed_form_counterpart, realize
+from .model import (COEFF_KEYS, ModelParams, PreconditionError, closed_form_counterpart,
+                    realize)
 from .timefunc import TimeFunction
-
-OP_NAMES = ("u", "v", "J")
 
 
 def _bessel_i(orders, x):
@@ -61,59 +61,56 @@ def modes_to_grid(modes, grid):
     return np.exp(1j * np.outer(grid.nodes, ks)) @ modes
 
 
-def _as_samples(state, grid):
-    state = np.asarray(state, dtype=complex)
-    if state.ndim != 1:
-        raise PreconditionError("state must be a 1-d array")
-    if len(state) == grid.n_nodes:
-        return state
-    return modes_to_grid(state, grid)
+def _samples(state, grid):
+    """The state as complex samples, one per grid node."""
+    f = np.asarray(state, dtype=complex)
+    if f.shape != (grid.n_nodes,):
+        raise PreconditionError(
+            f"state must be a 1-d array of {grid.n_nodes} grid samples, got shape "
+            f"{f.shape}; mode vectors go through modes_to_grid")
+    return f
 
 
-def apply_mode_number(values, power=1):
-    """(J^power f) on the grid via the FFT."""
+def apply_mode_number(values):
+    """(J f) on the grid via the FFT."""
     freqs = np.fft.fftfreq(len(values), d=1.0 / len(values))
-    return np.fft.ifft(np.fft.fft(values) * freqs ** power)
+    return np.fft.ifft(np.fft.fft(values) * freqs)
+
+
+# each letter's action on grid samples; a word acts letter by letter, its
+# last letter first (uJ is u after J)
+_LETTERS = {
+    "u": lambda f, grid: np.sin(grid.nodes) * f,
+    "v": lambda f, grid: np.cos(grid.nodes) * f,
+    "J": lambda f, grid: apply_mode_number(f),
+}
+OP_NAMES = tuple(_LETTERS)
 
 
 def apply_coefficients(coeffs, t, state, grid):
     """Apply a coefficient-set operator to a sampled state."""
-    f = _as_samples(state, grid)
+    images = {"": _samples(state, grid)}
+    for word in sorted(COEFF_KEYS, key=len):  # so each word's tail is applied already
+        images[word] = _LETTERS[word[0]](images[word[1:]], grid)
     c = coeffs.at(t)
-    sin = np.sin(grid.nodes)
-    cos = np.cos(grid.nodes)
-    Jf = apply_mode_number(f)
-    JJf = apply_mode_number(f, power=2)
-    return (c["JJ"] * JJf + c["J"] * Jf
-            + c["u"] * sin * f + c["v"] * cos * f
-            + c["uJ"] * sin * Jf + c["vJ"] * cos * Jf
-            + c["uu"] * sin * sin * f + c["vv"] * cos * cos * f
-            + c["uv"] * sin * cos * f)
+    return sum(c[word] * images[word] for word in COEFF_KEYS)
 
 
 def expectation(op_name, state, grid):
-    """<state|op|state> for op in {u, v, J} on a normalized state."""
+    """<state|op|state> for op in {u, v, J} on a normalized sampled state."""
     if op_name not in OP_NAMES:
         raise PreconditionError(f"op must be one of {OP_NAMES}, got {op_name!r}")
-    f = _as_samples(state, grid)
+    f = _samples(state, grid)
     norm = grid.integrate(np.abs(f) ** 2).real
     if abs(norm - 1.0) > 1e-8:
         raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    if op_name == "J":
-        g = apply_mode_number(f)
-    elif op_name == "u":
-        g = np.sin(grid.nodes) * f
-    else:
-        g = np.cos(grid.nodes) * f
-    return grid.integrate(np.conj(f) * g).real
+    return grid.integrate(np.conj(f) * _LETTERS[op_name](f, grid)).real
 
 
 def tdse_residual(state_fn, h_coeffs, t, grid):
     """Relative L2 residual of i d/dt psi = h psi by central difference."""
     dt = 1e-5
-    psi = _as_samples(state_fn(t), grid)
-    plus = _as_samples(state_fn(t + dt), grid)
-    minus = _as_samples(state_fn(t - dt), grid)
+    psi, plus, minus = (_samples(state_fn(s), grid) for s in (t, t + dt, t - dt))
     dpsi = (plus - minus) / (2.0 * dt)
     rhs = apply_coefficients(h_coeffs, t, psi, grid)
     num = np.sqrt(grid.integrate(np.abs(1j * dpsi - rhs) ** 2).real)

@@ -24,8 +24,10 @@ SECTORS = ("cos", "sin")
 
 
 def _check_sector(sector):
+    """The sector's first index: cos starts at P_0, sin at Q_1."""
     if sector not in SECTORS:
         raise PreconditionError(f"sector must be 'cos' or 'sin', got {sector!r}")
+    return SECTORS.index(sector)
 
 
 def _kernel(n, p):
@@ -41,8 +43,7 @@ def recurrence_polynomials(sector, n_max, p):
     is a monic polynomial in the spectral variable given as an array of
     ascending coefficients.
     """
-    _check_sector(sector)
-    lo = SECTORS.index(sector)  # cos starts at P_0, sin at Q_1
+    lo = _check_sector(sector)
     if n_max < lo:
         raise PreconditionError(f"n_max must be at least {lo} for the {sector} sector")
     polys = [np.zeros(1), np.array([1.0])]  # the start at lo - 1 is zero
@@ -68,7 +69,7 @@ def _jacobi(sector, n_hat, gamma):
     At the quantized level the kernel is gamma^2 (n_hat + n - 1)(n_hat - n)
     >= 0 for every real beta; the first cos link carries the n = 1 factor 2.
     """
-    ns = np.arange(0 if sector == "cos" else 1, n_hat, dtype=float)
+    ns = np.arange(_check_sector(sector), n_hat, dtype=float)
     links = ns[1:]
     with np.errstate(over="ignore"):  # callers test the entries for overflow
         off = abs(gamma) * np.sqrt((n_hat + links - 1.0) * (n_hat - links))
@@ -105,8 +106,7 @@ def quantization_eigenvalues(sector, n_hat, zeta, beta):
     diagonal and they are the free-rotor values 4 k^2.  Energies shift
     each root by -beta zeta^2.
     """
-    _check_sector(sector)
-    min_n = 1 if sector == "cos" else 2
+    min_n = _check_sector(sector) + 1
     if not isinstance(n_hat, (int, np.integer)) or n_hat < min_n:
         raise PreconditionError(
             f"n_hat must be an integer >= {min_n} for the {sector} sector")
@@ -114,7 +114,7 @@ def quantization_eigenvalues(sector, n_hat, zeta, beta):
     diag, off = _jacobi(sector, int(n_hat), (1.0 + beta) * zeta)
     shift = beta * (zeta * zeta)
     overflow = PreconditionError(
-        f"zeta={zeta} overflows the {sector} sector recurrence at beta={beta}")
+        f"zeta={zeta} and beta={beta} overflow the {sector} sector recurrence")
     if not (np.all(np.isfinite(off)) and np.isfinite(shift)):
         raise overflow
     lambdas = _eigh(diag, off, zeta, beta, eigvals_only=True)
@@ -182,7 +182,7 @@ def factorization_residual(sector, n_hat, ell, p):
     The one- and two-step cofactors R_1, R_2 are closed forms in the
     quantized level; ell in {1, 2}.
     """
-    _check_sector(sector)
+    lo = _check_sector(sector)
     if ell not in (1, 2):
         raise PreconditionError(f"ell must be 1 or 2, got {ell!r}")
     if n_hat < 1:
@@ -202,8 +202,8 @@ def factorization_residual(sector, n_hat, ell, p):
             1.0,
         ])
     polys = recurrence_polynomials(sector, nh + ell, p)
-    base = polys[nh - (0 if sector == "cos" else 1)]
-    target = polys[nh + ell - (0 if sector == "cos" else 1)]
+    base = polys[nh - lo]
+    target = polys[nh + ell - lo]
     product = npoly.polymul(cof, base)
     diff = npoly.polysub(target, product)
     scale = float(np.max(np.abs(target)))
@@ -228,7 +228,7 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     """
     from scipy.special import ive
 
-    _check_sector(sector)
+    lo = _check_sector(sector)
     if not p.is_quantized(n_hat):
         raise PreconditionError(
             f"level {p.level} is not quantized at n_hat={n_hat}")
@@ -239,7 +239,6 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     if frame == "H" and shift != 0.0:
         raise PreconditionError(f"shift applies to frame 'h' only, got {shift} with frame 'H'")
     nh = int(n_hat)
-    lo = 0 if sector == "cos" else 1
     if nh - 1 < lo:
         raise PreconditionError(f"{sector} sector needs n_hat >= {lo + 1}")
     if nh - 1 > order:

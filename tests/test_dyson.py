@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -151,6 +153,53 @@ def test_pt2_rejects_tau(rng):
     coeffs, kwargs = sample_compliant_inputs(PtClass.PT2, rng)
     with pytest.raises(PreconditionError):
         solve_dyson(PtClass.PT2, coeffs, tau=TimeFunction(0.2), **kwargs)
+
+
+# the profiles each class leaves to the caller: the first class fixes its
+# whole map, the fifth leaves lambda and tau open, the others lambda
+FREE_PROFILES = {PtClass.PT1: (), PtClass.PT2: ("lambda",), PtClass.PT3: ("lambda",),
+                 PtClass.PT4: ("lambda",), PtClass.PT5: ("lambda", "tau")}
+PROFILE_ARGS = {"lambda": "lam", "tau": "tau"}
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_class_takes_exactly_the_profiles_its_row_names(cls, rng):
+    named = FREE_PROFILES[cls]
+    row = dyson._CLASSES[cls].free_parameters
+    assert tuple(n for n in row if n in PROFILE_ARGS) == named
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    assert sorted(kwargs) == sorted(PROFILE_ARGS[n] for n in named)
+    solve_dyson(cls, coeffs, order=ORDER, **kwargs)
+    for name in PROFILE_ARGS.keys() - set(named):
+        extra = dict(kwargs, **{PROFILE_ARGS[name]: TimeFunction(0.1)})
+        message = f"^{cls.value} does not accept a {name} profile$"
+        with pytest.raises(PreconditionError, match=message):
+            solve_dyson(cls, coeffs, order=ORDER, **extra)
+        with pytest.raises(PreconditionError, match=message):
+            dyson_params(cls, coeffs, **extra)
+    if "lambda" in named:
+        without = {k: f for k, f in kwargs.items() if k != "lam"}
+        with pytest.raises(PreconditionError, match=f"^{cls.value} requires a lam profile"):
+            solve_dyson(cls, coeffs, order=ORDER, **without)
+    if "tau" in named:  # tau defaults to 0
+        sol = solve_dyson(cls, coeffs, order=ORDER, lam=kwargs["lam"])
+        assert sol.params.tau == TimeFunction(0)
+
+
+def test_class_members_are_named_only_in_the_class_table():
+    # what a class takes and does is read from its _CLASSES row, so no
+    # code outside the table branches on a PtClass member
+    tree = ast.parse(pathlib.Path(dyson.__file__).read_text(encoding="utf-8"))
+    table = next(stmt for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 and [getattr(t, "id", None) for t in stmt.targets] == ["_CLASSES"])
+
+    def members(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "PtClass"]
+
+    inside = members(table)
+    assert sorted(n.attr for n in inside) == [c.name for c in PtClass]
+    assert [n.lineno for n in members(tree) if n not in inside] == []
 
 
 def test_constraint_violation_reported():

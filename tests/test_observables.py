@@ -69,11 +69,39 @@ def test_expectation_hand_value():
     assert expectation("J", psi, grid) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_expectation_accepts_mode_vector():
+def test_mode_vector_enters_through_modes_to_grid():
     grid = QuadratureGrid()
     modes = np.zeros(9, dtype=complex)
     modes[5] = 1.0 / np.sqrt(2.0 * np.pi)  # e^{i theta}, normalized
-    assert expectation("J", modes, grid) == pytest.approx(1.0, abs=1e-12)
+    samples = modes_to_grid(modes, grid)
+    assert expectation("J", samples, grid) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda state, grid: expectation("J", state, grid),
+    lambda state, grid: apply_coefficients(model_hamiltonian(
+        ModelParams(zeta=0.5, beta=0.3, level=2.3)), 0.0, state, grid),
+    lambda state, grid: tdse_residual(lambda t: state, model_hamiltonian(
+        ModelParams(zeta=0.5, beta=0.3, level=2.3)), 0.0, grid),
+], ids=["expectation", "apply_coefficients", "tdse_residual"])
+@pytest.mark.parametrize("length", [9, 128, 130])
+def test_state_of_another_length_is_refused(call, length):
+    # a state is one sample per node; modes are not guessed from the length
+    grid = QuadratureGrid(n_nodes=129)
+    state = np.ones(length, dtype=complex) / np.sqrt(2.0 * np.pi)
+    with pytest.raises(PreconditionError, match="of 129 grid samples"):
+        call(state, grid)
+
+
+def test_node_count_values_are_samples():
+    # 129 values on 129 nodes are samples, though 129 is also a mode count
+    grid = QuadratureGrid(n_nodes=129)
+    samples = np.exp(1j * grid.nodes) / np.sqrt(2.0 * np.pi)
+    assert expectation("J", samples, grid) == pytest.approx(1.0, abs=1e-12)
+    assert expectation("v", samples, grid) == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(apply_coefficients(
+        model_hamiltonian(ModelParams(zeta=0.0, beta=0.0, level=0.0)), 0.0, samples, grid),
+        4.0 * samples, atol=1e-12)
 
 
 def test_expectation_norm_guard():
