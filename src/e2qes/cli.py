@@ -154,8 +154,7 @@ def _config(args, schema):
 
 
 def cmd_classify(args, cfg):
-    classes = classify_pt(cfg["coefficients"], sample_times=cfg["sampleTimes"],
-                          tol=cfg["tolerance"])
+    classes = classify_pt(cfg["coefficients"], sample_times=cfg["sampleTimes"])
     _emit_json(args, sorted(c.value for c in classes))
     return EXIT_OK
 
@@ -163,8 +162,7 @@ def cmd_classify(args, cfg):
 def cmd_solve_dyson(args, cfg):
     sol = solve_dyson(PtClass(cfg["class"]), cfg["coefficients"],
                       lam=cfg["lambda"], tau=cfg["tau"],
-                      probe_times=cfg["probeTimes"], order=args.truncation,
-                      tolerance=cfg["tolerance"])
+                      probe_times=cfg["probeTimes"], order=args.truncation)
     payload = {
         "class": cfg["class"],
         "phaseConvention": sol.params.phase_convention,
@@ -234,14 +232,14 @@ def cmd_observables(args, cfg):
         "maxClosedFormDeviation": float(worst),
     }
     _emit_json(args, payload)
-    return EXIT_OK if worst <= cfg["tolerance"] else EXIT_FAILED
+    return EXIT_OK if worst <= 1e-8 else EXIT_FAILED
 
 
 def cmd_verify(args, cfg):
     results = run_all(cfg["checks"])
     payload = {
-        "checks": [r.to_json_dict() for r in results],
-        "allPassed": all(r.passed for r in results),
+        "checks": [{"name": name, **r.to_json_dict()} for name, r in results],
+        "allPassed": all(r.passed for _, r in results),
     }
     _emit_json(args, payload)
     return EXIT_OK if payload["allPassed"] else EXIT_FAILED
@@ -279,14 +277,12 @@ _SIZES = {
 # One row per subcommand: (runner, config schema, size flags it reads).
 COMMANDS = {
     "classify": (cmd_classify, {"coefficients": (_coefficients, REQUIRED),
-                                "sampleTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
-                                "tolerance": (_NONNEGATIVE, 1e-12)}, ()),
+                                "sampleTimes": (_NUMBERS, DEFAULT_PROBE_TIMES)}, ()),
     "solve-dyson": (cmd_solve_dyson, {
         "class": (partial(_choice, options=tuple(c.value for c in PtClass)), REQUIRED),
         "coefficients": (_coefficients, REQUIRED),
         "lambda": (_expression, None), "tau": (_expression, None),
-        "probeTimes": (_NUMBERS, DEFAULT_PROBE_TIMES),
-        "tolerance": (_NONNEGATIVE, 1e-8)}, ("truncation",)),
+        "probeTimes": (_NUMBERS, DEFAULT_PROBE_TIMES)}, ("truncation",)),
     "spectrum": (cmd_spectrum, _SPECTRUM, ()),
     "wavefunctions": (cmd_wavefunctions, dict(
         _SPECTRUM, rootIndex=(partial(_integer, lo=0), REQUIRED),
@@ -295,8 +291,7 @@ COMMANDS = {
     "observables": (cmd_observables, {
         "zeta": (_number, REQUIRED), "beta": (_number, REQUIRED),
         "lambda": (_expression, REQUIRED),
-        "times": (_NUMBERS, (0.0, 0.5, 1.0)),
-        "tolerance": (_NONNEGATIVE, 1e-8)}, ("quadrature",)),
+        "times": (_NUMBERS, (0.0, 0.5, 1.0))}, ("quadrature",)),
     "verify": (cmd_verify, {"checks": (partial(_list, item=partial(
         _choice, options=tuple(all_check_names()))), None)}, ()),
     "double-scaling": (cmd_double_scaling, {

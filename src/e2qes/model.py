@@ -143,13 +143,14 @@ REALITY = {
 }
 
 
-def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES, tol=1e-12):
+def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES):
     """Set of antiunitary-symmetry classes compatible with the coefficients.
 
-    Reality patterns are tested numerically at the sample times with a
-    relative tolerance, so a set may land in several classes (overlaps
-    are real: a common quartic family sits in two at once).
+    Reality patterns are tested numerically at the sample times, each
+    part within 1e-12 relative, so a set may land in several classes
+    (overlaps are real: a common quartic family sits in two at once).
     """
+    tol = 1e-12
     samples = {k: [coeffs.value(k, t) for t in sample_times] for k in COEFF_KEYS}
 
     def holds(word, rule):
@@ -193,7 +194,7 @@ def realize(coeffs, t, order):
     return total
 
 
-def is_hermitian(coeffs, t, order=64):
+def is_hermitian(coeffs, t, order):
     """Interior Hermiticity of the realized operator at time t."""
     if order <= PAD:
         raise PreconditionError(f"order must be at least {PAD + 1}")

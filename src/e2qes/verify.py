@@ -1,10 +1,11 @@
 """Self-contained verification battery for the whole package.
 
 Each check is deterministic (fixed seeds, no timestamps) and returns a
-CheckResult; run_all executes the battery in a fixed order.  The checks
-mirror the package's acceptance surface: algebra identities, frame-map
-closed forms, the five-class solver, the spectral engine, invariants,
-the three-level family and the double-scaling limit.
+CheckResult; its name is written only in _ALL_CHECKS, and run_all
+executes the battery in that order.  The checks mirror the package's
+acceptance surface: algebra identities, frame-map closed forms, the
+five-class solver, the spectral engine, invariants, the three-level
+family and the double-scaling limit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ SMALL_ORDER = 32
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     passed: bool
     measure: float
     threshold: float
@@ -39,7 +39,6 @@ class CheckResult:
 
     def to_json_dict(self):
         return {
-            "name": self.name,
             "passed": bool(self.passed),
             "measure": float(self.measure),
             "threshold": float(self.threshold),
@@ -64,7 +63,6 @@ def check_commutator_identities():
     ]
     worst = max(float(np.linalg.norm(d, ord=2)) for d in defects)
     return CheckResult(
-        name="commutator_identities",
         passed=worst <= 1e-14,
         measure=worst,
         threshold=1e-14,
@@ -97,7 +95,6 @@ def check_adjoint_closed_forms():
                       / (1.0 + interior_norm(closed, PAD)))
             worst = max(worst, defect)
     return CheckResult(
-        name="adjoint_closed_forms",
         passed=worst <= 1e-10,
         measure=worst,
         threshold=1e-10,
@@ -126,7 +123,6 @@ def check_model_frame_equation():
             flipped = max(flipped, tdde_residual(H, hh, bad, t, order=SMALL_ORDER))
     passed = positive <= 1e-8 and flipped >= 1e-2
     return CheckResult(
-        name="model_frame_equation",
         passed=passed,
         measure=positive,
         threshold=1e-8,
@@ -164,7 +160,6 @@ def check_class_solutions():
                 if d_single > 1e-10:
                     worst = max(worst, d_single)
     return CheckResult(
-        name="class_solutions",
         passed=worst <= 1e-8,
         measure=worst,
         threshold=1e-8,
@@ -213,7 +208,6 @@ def check_recurrence_tables():
             scale = max(1.0, float(np.max(np.abs(want))))
             worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     return CheckResult(
-        name="recurrence_tables",
         passed=worst <= 1e-12,
         measure=worst,
         threshold=1e-12,
@@ -243,7 +237,6 @@ def check_spectra_closed_forms():
                 float(np.max(np.abs(rotor_sin - np.array([4.0, 16.0, 36.0])))))
     passed = worst <= 1e-10 and rotor <= 1e-12
     return CheckResult(
-        name="spectra_closed_forms",
         passed=passed,
         measure=worst,
         threshold=1e-10,
@@ -265,7 +258,6 @@ def check_factorization():
                     worst = max(worst, factorization_residual(sector, n_hat,
                                                               ell, p))
     return CheckResult(
-        name="factorization_identity",
         passed=worst <= 1e-12,
         measure=worst,
         threshold=1e-12,
@@ -287,7 +279,6 @@ def check_invariants():
             similar = max(similar, similarity_residual(spec, _PROBE_TIMES))
     passed = comm <= 1e-10 and defining <= 1e-8 and similar <= 1e-8
     return CheckResult(
-        name="invariant_relations",
         passed=passed,
         measure=max(defining, similar),
         threshold=1e-8,
@@ -332,7 +323,6 @@ def check_three_level():
     passed = (gram_worst <= 1e-10 and expect_worst <= 1e-10
               and j_worst <= 1e-10 and tdse_worst <= 1e-6)
     return CheckResult(
-        name="three_level_family",
         passed=passed,
         measure=max(gram_worst, expect_worst, j_worst),
         threshold=1e-10,
@@ -371,7 +361,6 @@ def check_energy_identities():
             bitwise_ok = False
     passed = bitwise_ok and worst <= 1e-12
     return CheckResult(
-        name="energy_identities",
         passed=passed,
         measure=worst,
         threshold=1e-12,
@@ -391,7 +380,6 @@ def check_double_scaling():
     ratios_ok = all(3.0 <= r <= 30.0 for r in ratios)
     passed = monotone and ratios_ok
     return CheckResult(
-        name="double_scaling_limit",
         passed=passed,
         measure=min(ratios),
         threshold=3.0,
@@ -421,12 +409,12 @@ def all_check_names():
 
 
 def run_all(names=None):
-    """Run the battery (or a named subset) in fixed order."""
+    """(name, CheckResult) for the battery (or a named subset) in fixed order."""
     if names is not None:
         known = set(all_check_names())
         missing = [n for n in names if n not in known]
         if missing:
             raise ValueError(f"unknown check names: {missing}")
         wanted = set(names)
-    return [fn() for name, fn in _ALL_CHECKS
+    return [(name, fn()) for name, fn in _ALL_CHECKS
             if names is None or name in wanted]

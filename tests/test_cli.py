@@ -274,12 +274,12 @@ def _shipped(name, **changes):
 
 
 @pytest.mark.parametrize("sub,payload,key", [
-    ("classify", _shipped("hh_model.json", tolerance=NAN), "tolerance"),
-    ("solve-dyson", _shipped("solve_dyson_pt2.json", tolerance=NAN), "tolerance"),
+    ("classify", _shipped("hh_model.json", sampleTimes=[NAN]), "sampleTimes[0]"),
+    ("observables", _shipped("observables_three_level.json", times=[NAN]), "times[0]"),
     ("solve-dyson", _shipped("solve_dyson_pt2.json", probeTimes=[NAN]), "probeTimes[0]"),
     ("double-scaling", _shipped("double_scaling.json", g=NAN), "g"),
     ("spectrum", _shipped("spectrum_cos2.json", zeta=NAN), "zeta"),
-], ids=["classify-tolerance", "solve-dyson-tolerance", "solve-dyson-probeTimes",
+], ids=["classify-sampleTimes", "observables-times", "solve-dyson-probeTimes",
         "double-scaling-g", "spectrum-zeta"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, sub, payload, key):
     # json.dumps writes NaN, which json.load reads back as a float
@@ -288,6 +288,20 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, sub, payload, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {key} must be a finite number\n"
+
+
+@pytest.mark.parametrize("sub,name", [
+    ("classify", "hh_model.json"),
+    ("solve-dyson", "solve_dyson_pt2.json"),
+    ("observables", "observables_three_level.json"),
+], ids=["classify", "solve-dyson", "observables"])
+def test_tolerance_key_is_config_error(tmp_path, capsys, sub, name):
+    # every bound is fixed beside its check; no config can move one
+    cfg = _cfg(tmp_path, "t.json", _shipped(name, tolerance=1e-8))
+    assert main([sub, "--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown configuration keys: ['tolerance']\n"
 
 
 @pytest.mark.parametrize("n_hat", [10_001, 10**20])
