@@ -3,11 +3,13 @@
 The frame map factors as exp(tau_e v) exp(lam_e J) exp(rho_e u) where the
 three slot functions are real or imaginary depending on the symmetry
 class.  Conjugating a coefficient set through the map is done in closed
-form at the coefficient level.  The matrix route (dense exponentials,
-:func:`eta_matrix` and :func:`eta_inverse`) is the independent oracle:
-:func:`tdde_residual` checks every solve with it, and
-``invariants.similarity_residual`` and the battery's
-``adjoint_closed_forms`` check read it too.
+form at the coefficient level.  The matrix route (:func:`eta_matrix` and
+:func:`eta_inverse`) is the independent oracle: :func:`tdde_residual`
+checks every solve with it, and ``invariants.similarity_residual`` and
+the battery's ``adjoint_closed_forms`` check read it too.  The truncated
+v is tridiagonal Toeplitz, so the DST-I diagonalizes it and u = conj(D) v D
+with D = diag(i^k); each exponential factor is two FFT-based transforms.
+The tests hold this route to ``scipy.linalg.expm``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
-from scipy.linalg import expm
 
 from .algebra import PAD, build_generators, interior_norm
 from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet,
@@ -153,40 +154,69 @@ def adjoint_closed_form(generator, params, t):
     return {k: complex(images[generator].get(k, 0)) for k in "Juv"}
 
 
-def eta_matrix(params, t, order):
-    """Dense frame map at time t: exp(tau_e v) exp(lam_e J) exp(rho_e u)."""
-    J, u, v = build_generators(order)
-    tau_e, lam_e, rho_e = params.effective(t)
+def _dst(x):
+    """Orthonormal DST-I along the rows, its own inverse, by an FFT of the odd extension."""
+    n = len(x)
+    z = np.zeros((2 * n + 2, x.shape[1]), dtype=complex)
+    z[1:n + 1], z[n + 2:] = x, -x[::-1]
+    return 0.5j * math.sqrt(2.0 / (n + 1)) * np.fft.fft(z, axis=0)[1:n + 1]
+
+
+def _frame_product(slots, t, order):
+    """Product of exp(a g) over (g, a) in slots, the first applied first.
+
+    v = S diag(w) S with S the DST-I and w_k = cos(k pi / (n + 1)), and
+    u = conj(D) v D with D = diag(i^k); a zero slot is the exact identity.
+    """
+    J = build_generators(order)[0].diagonal()[:, None]
+    w = np.cos(np.arange(1, len(J) + 1) * math.pi / (len(J) + 1))[:, None]
+    phase = {"v": 1.0, "u": np.array([1, 1j, -1, -1j])[np.arange(len(J)) % 4, None]}
+    m = np.eye(len(J), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.exp(lam_e * J.diagonal())
-        return _finite(expm(tau_e * v) @ (diag[:, None] * expm(rho_e * u)), t, order)
-
-
-def eta_inverse(params, t, order):
-    """Inverse of the frame map built from negated exponentials."""
-    J, u, v = build_generators(order)
-    tau_e, lam_e, rho_e = params.effective(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.exp(-lam_e * J.diagonal())
-        return _finite(expm(-rho_e * u) @ (diag[:, None] * expm(-tau_e * v)), t, order)
-
-
-def _finite(m, t, order):
+        for g, a in slots:
+            if g == "J":
+                m = np.exp(a * J) * m
+            elif a != 0:
+                m = np.conj(phase[g]) * _dst(np.exp(a * w) * _dst(phase[g] * m))
     if not np.isfinite(m).all():
         raise PreconditionError(f"the frame map is not finite at t={t} with truncation {order}")
     return m
+
+
+def eta_matrix(params, t, order):
+    """Dense frame map at time t: exp(tau_e v) exp(lam_e J) exp(rho_e u)."""
+    tau_e, lam_e, rho_e = params.effective(t)
+    return _frame_product(zip("uJv", (rho_e, lam_e, tau_e)), t, order)
+
+
+def eta_inverse(params, t, order):
+    """Inverse of the frame map: the negated slots in reverse order."""
+    tau_e, lam_e, rho_e = params.effective(t)
+    return _frame_product(zip("vJu", (-tau_e, -lam_e, -rho_e)), t, order)
+
+
+def _band_residual(left, x, right):
+    """left @ x - x @ right, for left and right zero beyond their second diagonals."""
+    n = len(x)
+    out = np.zeros_like(x)
+    for s in range(-2, 3):
+        lo, hi = slice(max(-s, 0), n - max(s, 0)), slice(max(s, 0), n + min(s, 0))
+        out[lo] += np.diagonal(left, s)[:, None] * x[hi]
+        out[:, hi] -= x[:, lo] * np.diagonal(right, s)
+    return out
 
 
 def tdde_residual(coeffs, h_coeffs, params, t, order):
     """Relative interior residual of h eta - eta H - (gauge) eta at time t.
 
     h_coeffs may be a CoefficientSet or a word -> value mapping at t.
+    H, h and the gauge are 5-banded, so the products are taken by band.
     """
     eta = eta_matrix(params, t, order)
     Hm = realize(coeffs, t, order)
     hm = realize(h_coeffs, t, order)
     G = realize(_frame_at(params, t).gauge, t, order)
-    R = hm @ eta - eta @ Hm - G @ eta
+    R = _band_residual(hm - G, eta, Hm)
     scale = 1.0 + interior_norm(Hm, PAD) + interior_norm(hm, PAD)
     return interior_norm(R, PAD) / scale
 

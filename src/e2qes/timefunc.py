@@ -83,10 +83,15 @@ class TimeFunction:
 
     __slots__ = ("expr", "_fn", "_deriv")
 
+    def __new__(cls, expr):
+        # a TimeFunction never changes, so wrapping one hands it back with
+        # its compiled evaluator and derivative
+        return expr if isinstance(expr, TimeFunction) else super().__new__(cls)
+
     def __init__(self, expr):
-        if isinstance(expr, TimeFunction):
-            expr = expr.expr
-        elif isinstance(expr, str):
+        if expr is self:
+            return
+        if isinstance(expr, str):
             expr = _parse_text(expr)
         else:
             try:

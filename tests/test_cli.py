@@ -404,7 +404,7 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
         {k: {"re": 0, "im": 0} for k in MODEL_COEFFS}, muJJ={"re": 1, "im": 0},
         muJ={"re": 0, "im": -5})},
      re.escape("the frame map is not finite at t=2.5 with truncation 64")),
-    # tau = c sec(lambda) is about 900, and expm(tau v) overflows
+    # tau = c sec(lambda) is about 900, and exp(tau v) overflows
     ("solve-dyson", _shipped("solve_dyson_pt2.json", **{"lambda": "1.5707"}),
      re.escape("the frame map is not finite at t=0.0 with truncation 64")),
     # the Jacobi entries are finite, its extreme eigenvalues are not

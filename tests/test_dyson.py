@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from e2qes import dyson
 from e2qes.algebra import build_generators, interior_norm
@@ -64,6 +65,44 @@ def test_adjoint_closed_forms_match_triple_products(cls, rng):
             triple = eta @ g @ inv
             assert interior_norm(closed - triple, PAD) <= 1e-11 * (
                 1.0 + interior_norm(closed, PAD))
+
+
+@pytest.mark.parametrize("order", [16, 32, 64])
+@pytest.mark.parametrize("cls", list(PtClass))
+def test_eta_matches_expm_oracle(cls, order, rng):
+    # the DST-I route against dense matrix exponentials, slots drawn as in
+    # test_adjoint_closed_forms_match_triple_products
+    J, u, v = build_generators(order)
+    lam_scale = 0.12 if cls is PtClass.PT1 else 1.0
+    params = _const_params(cls, float(rng.uniform(-0.2, 0.2)),
+                           float(rng.uniform(-lam_scale, lam_scale)),
+                           float(rng.uniform(-0.2, 0.2)))
+    tau_e, lam_e, rho_e = params.effective(0.0)
+    diag = np.exp(lam_e * J.diagonal())[:, None]
+    oracle = expm(tau_e * v) @ (diag * expm(rho_e * u))
+    oracle_inv = expm(-rho_e * u) @ (expm(-tau_e * v) / diag)
+    for got, want in ((eta_matrix(params, 0.0, order), oracle),
+                      (eta_inverse(params, 0.0, order), oracle_inv)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_eta_with_zero_shift_slots_is_exact():
+    # a zero slot is skipped, not transformed, so PT1's huge and tiny
+    # exp(lam J) entries stay exact
+    params = _const_params(PtClass.PT1, 0, 5.0, 0)
+    J = build_generators(ORDER)[0].diagonal()
+    assert np.array_equal(eta_matrix(params, 0.0, ORDER), np.diag(np.exp(5.0 * J)))
+    assert np.array_equal(eta_inverse(params, 0.0, ORDER), np.diag(np.exp(-5.0 * J)))
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_pt1_large_lambda_passes_self_check(order):
+    # lam = 0.2 t, so exp(lam J) spans e^{+-16} at order 32 and t = 2.5;
+    # the frame-equation residual must stay at roundoff of the map
+    coeffs = CoefficientSet({"JJ": 1.0, "J": (0, -0.2), "u": (0, -0.05),
+                             "v": (0, -0.25), "uJ": 0.5, "vv": -0.0625})
+    sol = solve_dyson(PtClass.PT1, coeffs, order=order)
+    assert max(sol.tdde.values()) <= 1e-9
 
 
 def test_gauge_matches_finite_difference():

@@ -131,6 +131,11 @@ def test_derivative_cached():
     assert f.derivative() is f.derivative()
 
 
+def test_wrapping_shares_evaluator_and_derivative():
+    f = TimeFunction.parse("t^2")
+    assert TimeFunction(f).derivative() is f.derivative()
+
+
 def test_serialize_round_trip():
     f = TimeFunction.parse("0.3*t^2 + sin(2*t)")
     text = f.serialize()
