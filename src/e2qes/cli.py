@@ -10,6 +10,11 @@ the size flags (--truncation, --quadrature) it reads; see COMMANDS.
 Exit codes: 0 success, 1 residual or verification failure, 2 config or
 parse error, 3 precondition violation (including arithmetic errors while
 evaluating an expression: overflow, a complex or a non-finite value).
+
+Each subcommand imports the layers it runs, so a call loads sympy only
+where it builds a time function, and scipy only where it runs an
+eigensolve or a Bessel function; the modules imported here need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -21,14 +26,10 @@ import sys
 import tempfile
 from functools import partial
 
-from .dyson import ResidualCheckError, solve_dyson
-from .model import (DEFAULT_PROBE_TIMES, CoefficientSet, ModelParams,
-                    PreconditionError, PtClass, classify_pt)
-from .observables import (OP_NAMES, STATE_NAMES, QuadratureGrid, ThreeLevelSystem,
-                          double_scaling_compare, expectation, modes_to_grid)
-from .qes import SECTORS, eigenfunction_series, quantization_eigenvalues
-from .timefunc import ExpressionError, TimeFunction
-from .verify import all_check_names, run_all
+from .errors import ExpressionError, PreconditionError, ResidualCheckError
+from .model import DEFAULT_PROBE_TIMES, CoefficientSet, PtClass
+from .qes import SECTORS
+from .verify import all_check_names
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -98,6 +99,8 @@ def _list(key, val, item):
 def _expression(key, val):
     if isinstance(val, bool) or not isinstance(val, (str, int, float)):
         raise ConfigError(f"{key} must be an expression string or number")
+    from .timefunc import TimeFunction
+
     try:
         return TimeFunction.parse(str(val))
     except ExpressionError as exc:
@@ -154,12 +157,16 @@ def _config(args, schema):
 
 
 def cmd_classify(args, cfg):
+    from .model import classify_pt
+
     classes = classify_pt(cfg["coefficients"], sample_times=cfg["sampleTimes"])
     _emit_json(args, sorted(c.value for c in classes))
     return EXIT_OK
 
 
 def cmd_solve_dyson(args, cfg):
+    from .dyson import solve_dyson
+
     sol = solve_dyson(PtClass(cfg["class"]), cfg["coefficients"],
                       lam=cfg["lambda"], tau=cfg["tau"],
                       probe_times=cfg["probeTimes"], order=args.truncation)
@@ -181,6 +188,8 @@ def cmd_solve_dyson(args, cfg):
 
 
 def cmd_spectrum(args, cfg):
+    from .qes import quantization_eigenvalues
+
     spec = quantization_eigenvalues(cfg["sector"], cfg["nHat"], cfg["zeta"],
                                     cfg["beta"])
     _emit_json(args, spec.to_json_dict())
@@ -188,6 +197,10 @@ def cmd_spectrum(args, cfg):
 
 
 def cmd_wavefunctions(args, cfg):
+    from .model import ModelParams
+    from .observables import QuadratureGrid, modes_to_grid
+    from .qes import eigenfunction_series, quantization_eigenvalues
+
     n_hat, zeta, beta, root_index = cfg["nHat"], cfg["zeta"], cfg["beta"], cfg["rootIndex"]
     spec = quantization_eigenvalues(cfg["sector"], n_hat, zeta, beta)
     if root_index >= len(spec.lambdas):
@@ -209,6 +222,10 @@ def cmd_wavefunctions(args, cfg):
 
 
 def cmd_observables(args, cfg):
+    from .model import ModelParams
+    from .observables import (OP_NAMES, STATE_NAMES, QuadratureGrid, ThreeLevelSystem,
+                              expectation)
+
     system = ThreeLevelSystem(ModelParams.quantized(2, cfg["zeta"], cfg["beta"]),
                               cfg["lambda"])
     grid = QuadratureGrid(n_nodes=args.quadrature)
@@ -236,6 +253,8 @@ def cmd_observables(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    from .verify import run_all
+
     results = run_all(cfg["checks"])
     payload = {
         "checks": [{"name": name, **r.to_json_dict()} for name, r in results],
@@ -246,6 +265,8 @@ def cmd_verify(args, cfg):
 
 
 def cmd_double_scaling(args, cfg):
+    from .observables import double_scaling_compare
+
     rows = double_scaling_compare(cfg["g"], cfg["zetas"], cfg["beta"],
                                   order=args.truncation, k_low=cfg["kLow"])
     devs = [float(r["deviation"].max()) for r in rows]

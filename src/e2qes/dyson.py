@@ -23,13 +23,10 @@ import numpy as np
 import sympy as sp
 
 from .algebra import PAD, build_generators, interior_norm
-from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet,
-                    PreconditionError, PtClass, classify_pt, is_hermitian, realize)
-from .timefunc import ExpressionError, T, TimeFunction
-
-
-class ResidualCheckError(RuntimeError):
-    """A mandatory numerical self-check exceeded its tolerance."""
+from .errors import ExpressionError, PreconditionError, ResidualCheckError
+from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet, PtClass,
+                    classify_pt, is_hermitian, realize)
+from .timefunc import T, TimeFunction
 
 
 @dataclass(frozen=True)

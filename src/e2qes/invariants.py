@@ -46,12 +46,14 @@ def invariant_static(spec):
     return _plus_casimir(dict(model_hamiltonian(spec.params).items()), spec)
 
 
-def invariant_rotating(spec):
+def invariant_rotating(spec, hh=None):
     """Rotating-frame invariant: Hermitian image plus frame term and Casimir.
 
-    The frame term +lam' J cancels the partner's J coefficient -lam'.
+    hh is the closed-form partner of spec, built here if not given.  The
+    frame term +lam' J cancels the partner's J coefficient -lam'.
     """
-    hh = closed_form_counterpart(spec.params, spec.lam)
+    if hh is None:
+        hh = closed_form_counterpart(spec.params, spec.lam)
     return _plus_casimir({k: v for k, v in hh.items() if k != "J"}, spec)
 
 
@@ -68,7 +70,7 @@ def defining_residual(spec, times):
     """Largest interior norm of dI/dt - i [I, h] over the times, for the
     rotating-frame invariant."""
     hh = closed_form_counterpart(spec.params, spec.lam)
-    inv = invariant_rotating(spec)
+    inv = invariant_rotating(spec, hh)
     d_inv = inv.derivative()
     worst = 0.0
     for t in times:

@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .algebra import PAD, build_generators, interior_norm
-from .timefunc import TimeFunction
+from .errors import PreconditionError
 
 COEFF_KEYS = ("JJ", "J", "u", "v", "uJ", "vJ", "uu", "vv", "uv")
 
@@ -30,22 +29,20 @@ JSON_KEYS = {
 DEFAULT_PROBE_TIMES = (0.0, 0.37, 1.0, 2.5)
 
 
-class PreconditionError(ValueError):
-    """Input violates a documented contract of an operation."""
-
-
 class CoefficientSet:
     """Nine (re, im) pairs of time functions, one per basis word.
 
     Missing words default to zero.  Values may be given as a complex
     constant, a single TimeFunction/str/number/sympy expression (real
     part), or an explicit (re, im) pair of those; each part is wrapped
-    in a TimeFunction here.
+    in a TimeFunction here, so the first set built loads sympy.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        from .timefunc import TimeFunction
+
         zero = TimeFunction(0)
         data = {k: (zero, zero) for k in COEFF_KEYS}
         for key, value in dict(terms or {}).items():
@@ -56,6 +53,8 @@ class CoefficientSet:
 
     @staticmethod
     def _coerce(value):
+        from .timefunc import TimeFunction
+
         if isinstance(value, tuple):
             if len(value) != 2:
                 raise ValueError("coefficient pair must be (re, im)")
@@ -250,6 +249,10 @@ def closed_form_counterpart(p, lam):
     must reproduce it coefficient by coefficient, which the test suite
     checks.  All entries are real.
     """
+    import sympy as sp
+
+    from .timefunc import TimeFunction
+
     lam = TimeFunction(lam)
     m_jj = 4.0
     m_uj = 2.0 * (1.0 - p.beta) * p.zeta

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (COEFF_KEYS, ModelParams, PreconditionError, closed_form_counterpart,
-                    realize)
-from .timefunc import TimeFunction
+from .errors import PreconditionError
+from .model import COEFF_KEYS, ModelParams, closed_form_counterpart, realize
 
 
 def _bessel_i(orders, x):
@@ -146,6 +145,8 @@ class ThreeLevelSystem:
 
     @classmethod
     def from_couplings(cls, zeta, beta, lam):
+        from .timefunc import TimeFunction
+
         return cls(ModelParams.quantized(2, zeta, beta), TimeFunction(lam))
 
     @property

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .model import PreconditionError
+from .errors import PreconditionError
 
 SECTORS = ("cos", "sin")
 
@@ -56,6 +55,8 @@ def recurrence_polynomials(sector, n_max, p):
 
 
 def _eigh(diag, off, zeta, beta, **select):
+    from scipy.linalg import LinAlgError, eigh_tridiagonal  # kept out of `import e2qes`
+
     try:
         return eigh_tridiagonal(diag, off, **select)
     except LinAlgError as exc:

@@ -18,6 +18,8 @@ import sympy as sp
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 from sympy.printing.str import StrPrinter
 
+from .errors import ExpressionError
+
 T = sp.Symbol("t", real=True)
 
 # the grammar's functions: name -> (sympy function, float function); sign,
@@ -49,10 +51,6 @@ class _Printer(StrPrinter):
 _PRINTER = _Printer()
 
 
-class ExpressionError(ValueError):
-    """A time-function expression cannot be parsed or leaves the grammar."""
-
-
 def _unknown_function(name):
     """Parser stand-in for sympy's Function: any call outside the grammar."""
     if not isinstance(name, str):
@@ -81,7 +79,7 @@ class TimeFunction:
     formula as a sympy expression (``f.expr``) and wrap the result once.
     """
 
-    __slots__ = ("expr", "_fn", "_deriv")
+    __slots__ = ("expr", "_text", "_fn", "_deriv")
 
     def __new__(cls, expr):
         # a TimeFunction never changes, so wrapping one hands it back with
@@ -99,6 +97,7 @@ class TimeFunction:
             except (sp.SympifyError, TypeError) as exc:
                 raise ExpressionError(f"not a valid expression: {expr!r}") from exc
         self.expr = _check_grammar(expr)
+        self._text = None
         self._fn = None
         self._deriv = None
 
@@ -110,7 +109,7 @@ class TimeFunction:
 
     def __call__(self, t):
         if self._fn is None:
-            self._fn = eval("lambda t: " + _PRINTER.doprint(self.expr), _NAMESPACE)
+            self._fn = eval("lambda t: " + self._source(), _NAMESPACE)
         try:
             value = self._fn(t)
             if isinstance(value, complex):
@@ -144,9 +143,15 @@ class TimeFunction:
     def __repr__(self):
         return f"TimeFunction({self.serialize()!r})"
 
+    def _source(self):
+        """The printed text, Python source with ``**``; printed once."""
+        if self._text is None:
+            self._text = _PRINTER.doprint(self.expr)
+        return self._text
+
     def serialize(self):
         """Deterministic grammar text that :meth:`parse` reads back."""
-        return _PRINTER.doprint(self.expr).replace("**", "^")
+        return self._source().replace("**", "^")
 
 
 def _parse_text(text):

@@ -2,32 +2,35 @@
 
 Each check is deterministic (fixed seeds, no timestamps) and returns a
 CheckResult; its name is written only in _ALL_CHECKS, and run_all
-executes the battery in that order.  The checks mirror the package's
-acceptance surface: algebra identities, frame-map closed forms, the
-five-class solver, the spectral engine, invariants, the three-level
-family and the double-scaling limit.
+executes the battery in that order.  Checks that need the symbolic
+layers (dyson, invariants, timefunc) import them themselves, so reading
+the names loads neither sympy nor scipy; run_all loads every layer the
+battery reaches before its first check, so that what a run holds in
+memory does not depend on which checks it names.  The checks mirror the
+package's acceptance surface: algebra identities, frame-map closed
+forms, the five-class solver, the spectral engine, invariants, the
+three-level family and the double-scaling limit.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import PAD, build_generators, commutator, interior_norm
-from .dyson import (DysonParams, adjoint_closed_form, dyson_params, eta_inverse,
-                    eta_matrix, sample_compliant_inputs, solve_dyson, tdde_residual)
-from .invariants import (InvariantSpec, commutation_residual, defining_residual,
-                         similarity_residual)
 from .model import (ModelParams, PtClass, closed_form_counterpart,
                     model_hamiltonian, realize)
 from .observables import (QuadratureGrid, ThreeLevelSystem, double_scaling_compare,
                           expectation, tdse_residual)
 from .qes import (closed_form_eigenvalues, factorization_residual,
                   quantization_eigenvalues, recurrence_polynomials)
-from .timefunc import TimeFunction
 
 SMALL_ORDER = 32
+# every module a check imports when it runs
+_BATTERY_MODULES = ("e2qes.dyson", "e2qes.invariants", "e2qes.timefunc",
+                    "scipy.linalg", "scipy.special")
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ def check_commutator_identities():
 
 def check_adjoint_closed_forms():
     """Closed-form frame adjoints against dense triple products, 50 draws."""
+    from .dyson import DysonParams, adjoint_closed_form, eta_inverse, eta_matrix
+    from .timefunc import TimeFunction
+
     rng = np.random.default_rng(123)
     classes = list(PtClass)
     J, u, v = build_generators(SMALL_ORDER)
@@ -108,6 +114,9 @@ _LAMBDA_PROFILES = ("0.5*t", "sin(t)")
 
 def check_model_frame_equation():
     """Quartic rotor family satisfies the frame equation; sign flip breaks it."""
+    from .dyson import DysonParams, dyson_params, tdde_residual
+    from .timefunc import TimeFunction
+
     p = ModelParams(zeta=1.5, beta=0.3, level=2.3)
     H = model_hamiltonian(p)
     positive = 0.0
@@ -133,6 +142,8 @@ def check_model_frame_equation():
 
 def check_class_solutions():
     """Five draws per class through the solver; Hermitian image, small residual."""
+    from .dyson import sample_compliant_inputs, solve_dyson
+
     rng = np.random.default_rng(7)
     worst = 0.0
     reading = ""
@@ -267,6 +278,9 @@ def check_factorization():
 
 def check_invariants():
     """Static commutation, rotating defining relation and the two-path map."""
+    from .invariants import (InvariantSpec, commutation_residual, defining_residual,
+                             similarity_residual)
+
     p = ModelParams.quantized(2, 0.5, 0.3)
     comm = 0.0
     defining = 0.0
@@ -416,5 +430,7 @@ def run_all(names=None):
         if missing:
             raise ValueError(f"unknown check names: {missing}")
         wanted = set(names)
+    for module in _BATTERY_MODULES:
+        importlib.import_module(module)
     return [(name, fn()) for name, fn in _ALL_CHECKS
             if names is None or name in wanted]

@@ -1,4 +1,10 @@
-import numpy as np
+import os
+
+# the package pins one OpenBLAS thread when it loads, but numpy loads here
+# first; a value set in the environment still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

@@ -44,3 +44,13 @@ def test_every_public_definition_is_used_inside_the_package():
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                and not stmt.name.startswith("_")}
     assert sorted(defined - _names_read_in_modules()) == []
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(e2qes)
+    for name in e2qes.__all__:
+        assert getattr(e2qes, name) is not None
+        assert name in listed
+    namespace = {}
+    exec("from e2qes import *", namespace)
+    assert set(e2qes.__all__) <= set(namespace)
