@@ -32,7 +32,7 @@ _HOMES = {name: module for module, names in {
     "invariants": "InvariantSpec commutation_residual defining_residual "
                   "invariant_rotating invariant_static similarity_residual",
     "model": "CoefficientSet ModelParams PtClass classify_pt closed_form_counterpart "
-             "is_hermitian model_hamiltonian realize",
+             "hermiticity_defect model_hamiltonian realize",
     "observables": "QuadratureGrid ThreeLevelSystem apply_coefficients "
                    "double_scaling_compare expectation modes_to_grid tdse_residual",
     "qes": "QesSpectrum closed_form_eigenvalues eigenfunction_series "

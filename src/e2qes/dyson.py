@@ -3,10 +3,14 @@
 The frame map factors as exp(tau_e v) exp(lam_e J) exp(rho_e u) where the
 three slot functions are real or imaginary depending on the symmetry
 class.  Conjugating a coefficient set through the map is done in closed
-form at the coefficient level.  The matrix route (:func:`eta_matrix` and
-:func:`eta_inverse`) is the independent oracle: :func:`tdde_residual`
-checks every solve with it, and ``invariants.similarity_residual`` and
-the battery's ``adjoint_closed_forms`` check read it too.  The truncated
+form at the coefficient level.  A solve's gates read the coefficients
+alone, at ``model.BOUND`` relative to 1 + max_w |c_w(t)|: the constraint
+rows and muJJ on the input, the nine ``model.HERMITIAN`` conditions on
+the image, so no verdict depends on the truncation.  The matrix route
+(:func:`eta_matrix` and :func:`eta_inverse`) is the independent oracle:
+:func:`tdde_residual` checks every solve's frame equation with it, and
+``invariants.similarity_residual`` and the battery's
+``adjoint_closed_forms`` check read it too.  The truncated
 v is tridiagonal Toeplitz, so the DST-I diagonalizes it and u = conj(D) v D
 with D = diag(i^k); each exponential factor is two FFT-based transforms.
 The tests hold this route to ``scipy.linalg.expm``.
@@ -24,8 +28,8 @@ import sympy as sp
 
 from .algebra import PAD, build_generators, interior_norm
 from .errors import ExpressionError, PreconditionError, ResidualCheckError
-from .model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet, PtClass,
-                    classify_pt, is_hermitian, realize)
+from .model import (BOUND, COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY, CoefficientSet, PtClass,
+                    classify_pt, hermiticity_defect, realize)
 from .timefunc import T, TimeFunction
 
 
@@ -209,6 +213,8 @@ def tdde_residual(coeffs, h_coeffs, params, t, order):
     h_coeffs may be a CoefficientSet or a word -> value mapping at t.
     H, h and the gauge are 5-banded, so the products are taken by band.
     """
+    if order <= PAD:
+        raise PreconditionError(f"order must be at least {PAD + 1}")
     eta = eta_matrix(params, t, order)
     Hm = realize(coeffs, t, order)
     hm = realize(h_coeffs, t, order)
@@ -358,7 +364,7 @@ def dyson_params(pt_class, coeffs, lam=None, tau=None):
         if f is not None and name not in named:
             raise PreconditionError(f"{pt_class.value} does not accept a {name} profile")
         if f is None and name in named and name == "lambda":
-            raise PreconditionError(f"{pt_class.value} requires a lam profile function")
+            raise PreconditionError(f"{pt_class.value} requires a lambda profile function")
         free.append(TimeFunction(0 if f is None else f) if name in named else None)
     for f in filter(None, free):
         f.derivative()
@@ -385,12 +391,13 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
             f"coefficients do not satisfy the {pt_class.value} reality pattern "
             f"(detected: {', '.join(names)})")
 
+    # each gate on the coefficients reads BOUND relative to 1 + max_w |mu_w(t)|
+    bounds = {t: BOUND * (1.0 + max(map(abs, coeffs.at(t).values()))) for t in probe_times}
     jj_re = coeffs.pair("JJ")[0]
-    if max(abs(jj_re.derivative()(t)) for t in probe_times) > 1e-8:
+    if any(abs(jj_re.derivative()(t)) > b for t, b in bounds.items()):
         raise PreconditionError("muJJ must be constant in time")
-    for t in probe_times:
-        if abs(jj_re(t)) <= 1e-12:
-            raise PreconditionError("muJJ must be nonzero")
+    if any(abs(jj_re(t)) <= b for t, b in bounds.items()):
+        raise PreconditionError("muJJ must be nonzero")
 
     row = _CLASSES[pt_class]
     params, rows = dyson_params(pt_class, coeffs, lam, tau)
@@ -399,26 +406,27 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
         for t in probe_times:
             if abs(math.cos(params.lam(t))) < 1e-6:
                 raise PreconditionError(
-                    f"lam({t}) puts the frame map at a sec/tan singularity")
+                    f"lambda({t}) puts the frame map at a sec/tan singularity")
 
-    constraints = {}
+    constraints, violated = {}, set()
     mu = _parts(coeffs)
     for name, word, part, formula in rows:
         value = mu[word, part]
         fn = TimeFunction(sp.diff(value, T) if formula is None else value - formula)
-        worst = max(abs(fn(t)) for t in probe_times)
-        constraints[name] = max(constraints.get(name, 0.0), worst)
-    violated = {n: v for n, v in constraints.items() if v > 1e-8}
+        defects = {t: abs(fn(t)) for t in bounds}
+        constraints[name] = max(constraints.get(name, 0.0), *defects.values())
+        if any(defects[t] > b for t, b in bounds.items()):
+            violated.add(name)
     if violated:
-        detail = ", ".join(f"{n}={v:.3e}" for n, v in sorted(violated.items()))
+        detail = ", ".join(f"{n}={constraints[n]:.3e}" for n in sorted(violated))
         raise PreconditionError(f"coefficient constraints violated: {detail}")
 
-    # the self-checks read the conjugation table numerically; the dense
-    # eta inside tdde_residual stays the independent oracle
+    # the self-checks read the numeric conjugation table: Hermiticity by the
+    # HERMITIAN table, the frame equation against the dense eta (the oracle)
     tdde = {}
     for t in probe_times:
         h_t = _conjugate_at(coeffs, params, t)
-        if not is_hermitian(h_t, t, order):
+        if not hermiticity_defect(h_t, t) <= BOUND:
             raise ResidualCheckError(
                 f"mapped coefficients fail the Hermiticity self-check at t={t}")
         r = tdde_residual(coeffs, h_t, params, t, order)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAD, build_generators, interior_norm
+from .algebra import build_generators
 from .errors import PreconditionError
 
 COEFF_KEYS = ("JJ", "J", "u", "v", "uJ", "vJ", "uu", "vv", "uv")
@@ -141,23 +141,29 @@ REALITY = {
     PtClass.PT5: _pattern("v", "vJ", "uv"),
 }
 
+# sum_w c_w w is Hermitian iff Im c_w = sum_p k Re c_p over w's row p -> k;
+# (uJ)^+ = uJ - i v and (vJ)^+ = vJ + i u tie Im c_v and Im c_u to c_uJ, c_vJ
+HERMITIAN = {"JJ": {}, "J": {}, "uu": {}, "vv": {}, "uv": {}, "uJ": {}, "vJ": {},
+             "u": {"vJ": 0.5}, "v": {"uJ": -0.5}}
+# the bound of classify_pt and of each solver gate, relative to 1 + max_w |c_w(t)|
+BOUND = 1e-12
+
 
 def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES):
     """Set of antiunitary-symmetry classes compatible with the coefficients.
 
     Reality patterns are tested numerically at the sample times, each
-    part within 1e-12 relative, so a set may land in several classes
+    part within BOUND relative, so a set may land in several classes
     (overlaps are real: a common quartic family sits in two at once).
     """
-    tol = 1e-12
     samples = {k: [coeffs.value(k, t) for t in sample_times] for k in COEFF_KEYS}
 
     def holds(word, rule):
         if rule == "re":
-            return all(abs(z.imag) <= tol * (1.0 + abs(z)) for z in samples[word])
+            return all(abs(z.imag) <= BOUND * (1.0 + abs(z)) for z in samples[word])
         if rule == "im":
-            return all(abs(z.real) <= tol * (1.0 + abs(z)) for z in samples[word])
-        return all(abs(za - zb.conjugate()) <= tol * (1.0 + abs(za) + abs(zb))
+            return all(abs(z.real) <= BOUND * (1.0 + abs(z)) for z in samples[word])
+        return all(abs(za - zb.conjugate()) <= BOUND * (1.0 + abs(za) + abs(zb))
                    for za, zb in zip(samples[rule], samples[word]))
 
     return {cls for cls, pattern in REALITY.items()
@@ -193,13 +199,17 @@ def realize(coeffs, t, order):
     return total
 
 
-def is_hermitian(coeffs, t, order):
-    """Interior Hermiticity of the realized operator at time t."""
-    if order <= PAD:
-        raise PreconditionError(f"order must be at least {PAD + 1}")
-    H = realize(coeffs, t, order)
-    scale = interior_norm(H, PAD)
-    return interior_norm(H - H.conj().T, PAD) <= 1e-12 * (1.0 + scale)
+def hermiticity_defect(coeffs, t):
+    """Worst HERMITIAN condition at time t, relative to 1 + max_w |c_w(t)|.
+
+    coeffs is read as in :func:`realize`; no truncation enters, so the
+    verdict is the same at every order.
+    """
+    values = coeffs.at(t) if isinstance(coeffs, CoefficientSet) else coeffs
+    c = {w: complex(values.get(w, 0)) for w in COEFF_KEYS}
+    worst = max(abs(c[w].imag - sum(k * c[p].real for p, k in row.items()))
+                for w, row in HERMITIAN.items())
+    return worst / (1.0 + max(map(abs, c.values())))
 
 
 @dataclass(frozen=True)

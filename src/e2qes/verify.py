@@ -49,6 +49,11 @@ class CheckResult:
         }
 
 
+def _bounded(measure, threshold, detail, also=True):
+    """A check that passes when measure <= threshold and `also` holds."""
+    return CheckResult(measure <= threshold and also, measure, threshold, detail)
+
+
 def check_commutator_identities():
     """Bracket relations and the Casimir defect, corners included."""
     J, u, v = build_generators(SMALL_ORDER)
@@ -65,12 +70,7 @@ def check_commutator_identities():
         u @ u + v @ v - np.eye(dim) - corner_c,
     ]
     worst = max(float(np.linalg.norm(d, ord=2)) for d in defects)
-    return CheckResult(
-        passed=worst <= 1e-14,
-        measure=worst,
-        threshold=1e-14,
-        detail="bracket relations and Casimir defect with exact corner terms",
-    )
+    return _bounded(worst, 1e-14, "bracket relations and Casimir defect with exact corner terms")
 
 
 def check_adjoint_closed_forms():
@@ -100,12 +100,7 @@ def check_adjoint_closed_forms():
             defect = (interior_norm(closed - triple, PAD)
                       / (1.0 + interior_norm(closed, PAD)))
             worst = max(worst, defect)
-    return CheckResult(
-        passed=worst <= 1e-10,
-        measure=worst,
-        threshold=1e-10,
-        detail="50 seeded draws over all five classes, generators J/u/v",
-    )
+    return _bounded(worst, 1e-10, "50 seeded draws over all five classes, generators J/u/v")
 
 
 _PROBE_TIMES = (0.0, 0.3, 1.7)
@@ -130,14 +125,8 @@ def check_model_frame_equation():
         for t in _PROBE_TIMES:
             positive = max(positive, tdde_residual(H, hh, params, t, order=SMALL_ORDER))
             flipped = max(flipped, tdde_residual(H, hh, bad, t, order=SMALL_ORDER))
-    passed = positive <= 1e-8 and flipped >= 1e-2
-    return CheckResult(
-        passed=passed,
-        measure=positive,
-        threshold=1e-8,
-        detail=(f"negative control (flipped rho) max residual {flipped:.3e}, "
-                "required >= 1e-2 across the probe grid"),
-    )
+    return _bounded(positive, 1e-8, f"negative control (flipped rho) max residual "
+                    f"{flipped:.3e}, required >= 1e-2 across the probe grid", flipped >= 1e-2)
 
 
 def check_class_solutions():
@@ -170,12 +159,7 @@ def check_class_solutions():
                            f"defect {d_squared:.3e}")
                 if d_single > 1e-10:
                     worst = max(worst, d_single)
-    return CheckResult(
-        passed=worst <= 1e-8,
-        measure=worst,
-        threshold=1e-8,
-        detail=reading,
-    )
+    return _bounded(worst, 1e-8, reading)
 
 
 def _printed_tables(p):
@@ -218,12 +202,8 @@ def check_recurrence_tables():
             want = np.asarray(printed, dtype=float)
             scale = max(1.0, float(np.max(np.abs(want))))
             worst = max(worst, float(np.max(np.abs(got - want))) / scale)
-    return CheckResult(
-        passed=worst <= 1e-12,
-        measure=worst,
-        threshold=1e-12,
-        detail="subscripts 1-3 (cos) and 2-4 (sin) at 10 seeded parameter draws",
-    )
+    return _bounded(worst, 1e-12,
+                    "subscripts 1-3 (cos) and 2-4 (sin) at 10 seeded parameter draws")
 
 
 def check_spectra_closed_forms():
@@ -246,13 +226,8 @@ def check_spectra_closed_forms():
     rotor_sin = quantization_eigenvalues("sin", 4, 0.0, 0.3).lambdas
     rotor = max(float(np.max(np.abs(rotor_cos - np.array([0.0, 4.0, 16.0])))),
                 float(np.max(np.abs(rotor_sin - np.array([4.0, 16.0, 36.0])))))
-    passed = worst <= 1e-10 and rotor <= 1e-12
-    return CheckResult(
-        passed=passed,
-        measure=worst,
-        threshold=1e-10,
-        detail=f"free-rotor limit defect {rotor:.3e} (threshold 1e-12)",
-    )
+    return _bounded(worst, 1e-10, f"free-rotor limit defect {rotor:.3e} (threshold 1e-12)",
+                    rotor <= 1e-12)
 
 
 def check_factorization():
@@ -268,12 +243,7 @@ def check_factorization():
                 for ell in (1, 2):
                     worst = max(worst, factorization_residual(sector, n_hat,
                                                               ell, p))
-    return CheckResult(
-        passed=worst <= 1e-12,
-        measure=worst,
-        threshold=1e-12,
-        detail="both sectors, levels 1-4, shifts 1-2, five parameter draws",
-    )
+    return _bounded(worst, 1e-12, "both sectors, levels 1-4, shifts 1-2, five parameter draws")
 
 
 def check_invariants():
@@ -373,16 +343,10 @@ def check_energy_identities():
                 and e["minus"] == 2.0 - bz - 2.0 * s
                 and e["zero"] == 4.0 - bz):
             bitwise_ok = False
-    passed = bitwise_ok and worst <= 1e-12
-    return CheckResult(
-        passed=passed,
-        measure=worst,
-        threshold=1e-12,
-        detail=("level-2 energies match the direct formulas bit-for-bit in "
-                "construction; eigenvalue agreement with closed forms shown "
-                "as measure" if bitwise_ok else
-                "bitwise energy construction check FAILED"),
-    )
+    return _bounded(worst, 1e-12, (
+        "level-2 energies match the direct formulas bit-for-bit in construction; "
+        "eigenvalue agreement with closed forms shown as measure" if bitwise_ok
+        else "bitwise energy construction check FAILED"), bitwise_ok)
 
 
 def check_double_scaling():

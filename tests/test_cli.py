@@ -362,7 +362,7 @@ def test_solve_dyson_antiderivative_outside_grammar_is_config_error(tmp_path, ca
 
 @pytest.mark.parametrize("truncation", ["2", "3", "4"])
 def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsys, truncation):
-    # the Hermiticity self-check trims 4 modes from each edge
+    # the frame-equation self-check trims 4 modes from each edge
     cfg = _cfg(tmp_path, "d.json", _shipped("solve_dyson_pt2.json"))
     assert main(["solve-dyson", "--input", cfg, "--truncation", truncation]) == 3
     captured = capsys.readouterr()
@@ -456,8 +456,8 @@ def test_sign_derivative_is_expression_error(tmp_path, capsys):
 
 
 def test_small_j_coefficient_is_constraint_error(tmp_path, capsys):
-    # the row is linear in the coefficient, so |muJ| = 5e-5 clears the
-    # 1e-8 gate by far and stops before the Hermiticity self-check
+    # the row reads muJ.im itself, so 5e-5 is far above the row gate's
+    # 1e-12 relative bound and stops the solve before any self-check
     payload = _shipped("solve_dyson_pt2.json")
     payload["coefficients"]["muJ"] = {"re": 0, "im": 5e-5}
     cfg = _cfg(tmp_path, "d.json", payload)
@@ -466,6 +466,41 @@ def test_small_j_coefficient_is_constraint_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: coefficient constraints violated: J_coefficient_absent=5.000e-05\n")
+
+
+def _shipped_pt2(coefficients=(), **changes):
+    payload = _shipped("solve_dyson_pt2.json", **changes)
+    payload["coefficients"].update(coefficients)
+    return payload
+
+
+@pytest.mark.parametrize("truncation", ["16", "32", "64", "256"])
+@pytest.mark.parametrize("m_J", [1e-10, 3e-10, 1e-9])
+def test_row_defect_below_old_gate_is_constraint_error_at_every_truncation(
+        tmp_path, capsys, m_J, truncation):
+    # the rows are gated at 1e-12 relative to 1 + max |mu|, before any
+    # truncated matrix is built; a dense Hermiticity gate on the image
+    # passed or failed these inputs depending on the truncation
+    cfg = _cfg(tmp_path, "d.json", _shipped_pt2({"muJ": {"re": 0, "im": m_J}}))
+    assert main(["solve-dyson", "--input", cfg, "--truncation", truncation]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: coefficient constraints violated: J_coefficient_absent={m_J:.3e}\n")
+
+
+@pytest.mark.parametrize("payload,err", [
+    (_shipped_pt2({"muJJ": {"re": "4 + 1e-9*t", "im": 0}}), "muJJ must be constant in time"),
+    (_shipped_pt2({"muJJ": {"re": 0, "im": 0}}), "muJJ must be nonzero"),
+    (_shipped_pt2(**{"lambda": "1.5707963267948966"}),
+     "lambda(0.0) puts the frame map at a sec/tan singularity"),
+], ids=["muJJ-drift", "muJJ-zero", "lambda-singular"])
+def test_solve_dyson_input_gate_is_precondition_error(tmp_path, capsys, payload, err):
+    cfg = _cfg(tmp_path, "d.json", payload)
+    assert main(["solve-dyson", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100000], ids=["not-utf8", "too-deep"])

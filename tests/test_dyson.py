@@ -17,9 +17,9 @@ from e2qes.dyson import (DysonParams, ResidualCheckError, adjoint_closed_form,
                          tdde_residual)
 from e2qes.model import (COEFF_KEYS, DEFAULT_PROBE_TIMES, REALITY,
                          CoefficientSet, ModelParams, PreconditionError, PtClass,
-                         closed_form_counterpart, is_hermitian,
-                         model_hamiltonian, realize)
+                         closed_form_counterpart, model_hamiltonian, realize)
 from e2qes.timefunc import T, TimeFunction
+from test_model import is_hermitian
 
 ORDER = 24
 PAD = 4
@@ -218,7 +218,7 @@ def test_class_takes_exactly_the_profiles_its_row_names(cls, rng):
             dyson_params(cls, coeffs, **extra)
     if "lambda" in named:
         without = {k: f for k, f in kwargs.items() if k != "lam"}
-        with pytest.raises(PreconditionError, match=f"^{cls.value} requires a lam profile"):
+        with pytest.raises(PreconditionError, match=f"^{cls.value} requires a lambda profile"):
             solve_dyson(cls, coeffs, order=ORDER, **without)
     if "tau" in named:  # tau defaults to 0
         sol = solve_dyson(cls, coeffs, order=ORDER, lam=kwargs["lam"])

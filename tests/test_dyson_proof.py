@@ -4,10 +4,10 @@ The free coefficient parts are generic real functions of t, the J^2
 weight is a positive symbol, each static row's part is a real constant
 and each formula row sets its part.  The package's own builders give the
 frame profiles, and its own frame terms and conjugation table give the
-image.  An operator sum_w c_w w is Hermitian iff c_w is real for JJ, J,
-uu, vv, uv, uJ and vJ, Im c_u = Re c_vJ / 2 and Im c_v = -Re c_uJ / 2;
-the tests prove these nine linear conditions for every input of each
-class, and show that moving any one row's part breaks one of them.
+image.  The tests prove the nine linear Hermiticity conditions of
+``model.HERMITIAN`` (the numeric gate reads the same table) for every
+input of each class, and show that moving any one row's part breaks one
+of them.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 
 from e2qes import dyson
-from e2qes.model import COEFF_KEYS, REALITY, PtClass
+from e2qes.model import COEFF_KEYS, HERMITIAN, REALITY, PtClass
 from e2qes.timefunc import T
 
 ROW_COUNTS = {PtClass.PT1: 4, PtClass.PT2: 3, PtClass.PT3: 4, PtClass.PT4: 3,
@@ -61,7 +61,7 @@ def _inputs(cls, moved=None):
 
 
 def _conditions(cls, moved=None):
-    """The nine Hermiticity conditions of the mapped coefficients."""
+    """The nine HERMITIAN conditions of the mapped coefficients."""
     mu, lam, tau, _ = _inputs(cls, moved)
     slots = dyson._CLASSES[cls].build(mu, lam, tau)[0]
     frame = dyson._frame_terms(cls, slots, [sp.diff(s, T) for s in slots], sp, sp.I)
@@ -74,8 +74,8 @@ def _conditions(cls, moved=None):
     re, im = {}, {}
     for w, c in h.items():
         re[w], im[w] = sp.expand(sp.sympify(c).xreplace(real)).as_real_imag()
-    return ([im[w] for w in ("JJ", "J", "uu", "vv", "uv", "uJ", "vJ")]
-            + [im["u"] - re["vJ"] / 2, im["v"] + re["uJ"] / 2])
+    return [im[w] - sum(sp.Rational(k) * re[p] for p, k in row.items())
+            for w, row in HERMITIAN.items()]
 
 
 @pytest.mark.parametrize("cls", list(PtClass))

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from e2qes.algebra import build_generators, interior_norm
-from e2qes.model import (REALITY, CoefficientSet, ModelParams,
-                         PreconditionError, PtClass, classify_pt,
-                         closed_form_counterpart, is_hermitian,
+from e2qes.algebra import PAD, build_generators, interior_norm
+from e2qes.model import (BOUND, COEFF_KEYS, HERMITIAN, REALITY, CoefficientSet,
+                         ModelParams, PreconditionError, PtClass, classify_pt,
+                         closed_form_counterpart, hermiticity_defect,
                          model_hamiltonian, realize)
 from e2qes.timefunc import TimeFunction
+
+
+def is_hermitian(coeffs, t, order):
+    """Dense oracle: interior Hermiticity of the realized operator at time t."""
+    H = realize(coeffs, t, order)
+    return interior_norm(H - H.conj().T, PAD) <= 1e-12 * (1.0 + interior_norm(H, PAD))
 
 
 def test_coefficient_coercion():
@@ -125,6 +133,33 @@ def test_realize_time_dependence():
 def test_is_hermitian():
     assert is_hermitian(CoefficientSet({"JJ": 4.0, "v": 1.0}), 0.0, order=16)
     assert not is_hermitian(CoefficientSet({"J": 1.0j}), 0.0, order=16)
+
+
+def test_hermiticity_defect():
+    # (uJ)^+ = uJ - i v and (vJ)^+ = vJ + i u, so these two sums are Hermitian
+    for c in ({"JJ": 4.0, "uJ": 1.0, "v": -0.5j}, {"vJ": 1.0, "u": 0.5j}):
+        assert hermiticity_defect(CoefficientSet(c), 0.0) == 0.0
+        assert is_hermitian(c, 0.0, order=16)
+    # the defect is relative to 1 + max_w |c_w|, and no truncation enters
+    assert hermiticity_defect({"J": 1.0j}, 0.0) == 0.5
+    assert hermiticity_defect({"uJ": 1.0}, 0.0) == 0.25
+
+
+@given(parts=st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9),
+       moved=st.sampled_from(list(HERMITIAN)),
+       step=st.floats(1e-6, 1e-2), sign=st.sampled_from([1, -1]))
+def test_hermiticity_table_agrees_with_dense_oracle(parts, moved, step, sign):
+    # a map built from the table passes both checks; moving one condition
+    # by at least 1e-6 relative fails both, at every truncation
+    re = dict(zip(COEFF_KEYS, parts))
+    c = {w: complex(re[w], sum(k * re[p] for p, k in HERMITIAN[w].items()))
+         for w in COEFF_KEYS}
+    off = dict(c, **{moved: c[moved] + 1j * sign * step * (1.0 + max(map(abs, c.values())))})
+    assert hermiticity_defect(c, 0.0) <= BOUND
+    assert hermiticity_defect(off, 0.0) > BOUND
+    for order in (16, 32, 64):
+        assert is_hermitian(c, 0.0, order)
+        assert not is_hermitian(off, 0.0, order)
 
 
 def test_model_params_validation():
