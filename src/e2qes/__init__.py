@@ -25,20 +25,18 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOMES = {name: module for module, names in {
     "algebra": "build_generators commutator interior_norm",
-    "dyson": "DysonParams DysonSolution adjoint_closed_form conjugate_coefficients "
-             "dyson_params eta_inverse eta_matrix sample_compliant_inputs solve_dyson "
-             "tdde_residual",
+    "dyson": "DysonParams adjoint_closed_form dyson_params eta_inverse eta_matrix "
+             "sample_compliant_inputs solve_dyson tdde_residual",
     "errors": "ExpressionError PreconditionError ResidualCheckError",
-    "invariants": "InvariantSpec commutation_residual defining_residual "
-                  "invariant_rotating invariant_static similarity_residual",
+    "invariants": "invariant_residuals",
     "model": "CoefficientSet ModelParams PtClass classify_pt closed_form_counterpart "
              "hermiticity_defect model_hamiltonian realize",
-    "observables": "QuadratureGrid ThreeLevelSystem apply_coefficients "
-                   "double_scaling_compare expectation modes_to_grid tdse_residual",
-    "qes": "QesSpectrum closed_form_eigenvalues eigenfunction_series "
-           "factorization_residual quantization_eigenvalues recurrence_polynomials",
+    "observables": "QuadratureGrid ThreeLevelSystem double_scaling_compare expectation "
+                   "modes_to_grid tdse_residual",
+    "qes": "closed_form_eigenvalues eigenfunction_series factorization_residual "
+           "quantization_eigenvalues recurrence_polynomials",
     "timefunc": "TimeFunction",
-    "verify": "CheckResult all_check_names run_all",
+    "verify": "all_check_names run_all",
 }.items() for name in names.split()}
 
 __all__ = sorted(_HOMES)

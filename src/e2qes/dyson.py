@@ -9,7 +9,7 @@ rows and muJJ on the input, the nine ``model.HERMITIAN`` conditions on
 the image, so no verdict depends on the truncation.  The matrix route
 (:func:`eta_matrix` and :func:`eta_inverse`) is the independent oracle:
 :func:`tdde_residual` checks every solve's frame equation with it, and
-``invariants.similarity_residual`` and the battery's
+the two-path residual of ``invariants.invariant_residuals`` and the battery's
 ``adjoint_closed_forms`` check read it too.  The truncated
 v is tridiagonal Toeplitz, so the DST-I diagonalizes it and u = conj(D) v D
 with D = diag(i^k); each exponential factor is two FFT-based transforms.

@@ -156,6 +156,8 @@ def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES):
     part within BOUND relative, so a set may land in several classes
     (overlaps are real: a common quartic family sits in two at once).
     """
+    if len(sample_times) == 0:
+        raise PreconditionError("no sample times: every class would hold vacuously")
     samples = {k: [coeffs.value(k, t) for t in sample_times] for k in COEFF_KEYS}
 
     def holds(word, rule):

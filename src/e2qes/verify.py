@@ -1,15 +1,15 @@
 """Self-contained verification battery for the whole package.
 
 Each check is deterministic (fixed seeds, no timestamps) and returns a
-CheckResult; its name is written only in _ALL_CHECKS, and run_all
-executes the battery in that order.  Checks that need the symbolic
-layers (dyson, invariants, timefunc) import them themselves, so reading
-the names loads neither sympy nor scipy; run_all loads every layer the
-battery reaches before its first check, so that what a run holds in
-memory does not depend on which checks it names.  The checks mirror the
-package's acceptance surface: algebra identities, frame-map closed
-forms, the five-class solver, the spectral engine, invariants, the
-three-level family and the double-scaling limit.
+CheckResult, most through _bounded; its name is written only in
+_ALL_CHECKS, and run_all executes the battery in that order.  Checks
+that need the symbolic layers (dyson, invariants, timefunc) import them
+themselves, so reading the names loads neither sympy nor scipy; run_all
+loads every layer the battery reaches before its first check, so that
+what a run holds in memory does not depend on which checks it names.
+The checks mirror the package's acceptance surface: algebra identities,
+frame-map closed forms, the five-class solver, the spectral engine, the
+invariant residuals, the three-level family and the double-scaling limit.
 """
 
 from __future__ import annotations
@@ -248,27 +248,17 @@ def check_factorization():
 
 def check_invariants():
     """Static commutation, rotating defining relation and the two-path map."""
-    from .invariants import (InvariantSpec, commutation_residual, defining_residual,
-                             similarity_residual)
+    from .invariants import invariant_residuals
 
     p = ModelParams.quantized(2, 0.5, 0.3)
-    comm = 0.0
-    defining = 0.0
-    similar = 0.0
+    comm = defining = similar = 0.0
     for lam_text in _LAMBDA_PROFILES:
         for nu_vv in (0.0, 0.7):
-            spec = InvariantSpec(p, lam_text, nu_vv=nu_vv)
-            comm = max(comm, commutation_residual(spec))
-            defining = max(defining, defining_residual(spec, _PROBE_TIMES))
-            similar = max(similar, similarity_residual(spec, _PROBE_TIMES))
-    passed = comm <= 1e-10 and defining <= 1e-8 and similar <= 1e-8
-    return CheckResult(
-        passed=passed,
-        measure=max(defining, similar),
-        threshold=1e-8,
-        detail=(f"static commutation {comm:.3e} (threshold 1e-10), "
-                f"defining {defining:.3e}, two-path {similar:.3e}"),
-    )
+            c, d, s = invariant_residuals(p, lam_text, nu_vv, _PROBE_TIMES)
+            comm, defining, similar = max(comm, c), max(defining, d), max(similar, s)
+    return _bounded(max(defining, similar), 1e-8,
+                    f"static commutation {comm:.3e} (threshold 1e-10), "
+                    f"defining {defining:.3e}, two-path {similar:.3e}", also=comm <= 1e-10)
 
 
 def check_three_level():

@@ -122,6 +122,13 @@ def test_gauge_matches_finite_difference():
 
 
 @pytest.mark.parametrize("cls", list(PtClass))
+def test_solve_refuses_empty_probe_times(cls, rng):
+    coeffs, kwargs = sample_compliant_inputs(cls, rng)
+    with pytest.raises(PreconditionError, match="no sample times"):
+        solve_dyson(cls, coeffs, probe_times=(), order=ORDER, **kwargs)
+
+
+@pytest.mark.parametrize("cls", list(PtClass))
 def test_conjugate_coefficients_matrix_oracle(cls, rng):
     # coefficient-level map vs dense h = eta H eta^{-1} + i eta-dot eta^{-1}
     coeffs, kwargs = sample_compliant_inputs(cls, rng)

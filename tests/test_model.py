@@ -114,6 +114,14 @@ def test_classify_time_dependent_reality():
     assert PtClass.PT1 not in classify_pt(c2)
 
 
+def test_classify_refuses_empty_sample_times():
+    # over no samples every reality pattern holds, so each class would match
+    breaks_all = CoefficientSet({"JJ": (2.0, 0), "J": (1.0, 1.0), "uu": (1.0, 1.0)})
+    assert classify_pt(breaks_all) == set()
+    with pytest.raises(PreconditionError, match="no sample times"):
+        classify_pt(breaks_all, ())
+
+
 def test_realize_literal_order():
     J, u, v = build_generators(6)
     c = CoefficientSet({"uJ": 1.0})
