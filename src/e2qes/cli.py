@@ -222,19 +222,15 @@ def cmd_wavefunctions(args, cfg):
 
 
 def cmd_observables(args, cfg):
-    from .model import ModelParams
-    from .observables import (OP_NAMES, STATE_NAMES, QuadratureGrid, ThreeLevelSystem,
-                              expectation)
+    from .observables import OP_NAMES, QuadratureGrid, ThreeLevelSystem, expectation
 
-    system = ThreeLevelSystem(ModelParams.quantized(2, cfg["zeta"], cfg["beta"]),
-                              cfg["lambda"])
+    system = ThreeLevelSystem.from_couplings(cfg["zeta"], cfg["beta"], cfg["lambda"])
     grid = QuadratureGrid(n_nodes=args.quadrature)
     rows = []
     worst = 0.0
     for t in cfg["times"]:
         closed = system.closed_form_expectations(t)
-        for state in STATE_NAMES:
-            samples = system.wavefunction(state, t, grid)
+        for state, samples in system.states(t, grid).items():
             measured = {op: float(expectation(op, samples, grid)) for op in OP_NAMES}
             dev = float(max(abs(measured[op] - closed[state][op]) for op in OP_NAMES))
             worst = max(worst, dev)

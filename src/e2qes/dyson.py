@@ -216,18 +216,23 @@ def tdde_residual(coeffs, h_coeffs, params, t, order):
     if order <= PAD:
         raise PreconditionError(f"order must be at least {PAD + 1}")
     eta = eta_matrix(params, t, order)
-    Hm = realize(coeffs, t, order)
-    hm = realize(h_coeffs, t, order)
-    G = realize(_frame_at(params, t).gauge, t, order)
-    R = _band_residual(hm - G, eta, Hm)
-    scale = 1.0 + interior_norm(Hm, PAD) + interior_norm(hm, PAD)
+    with np.errstate(over="ignore", invalid="ignore"):  # tested below
+        Hm = realize(coeffs, t, order)
+        hm = realize(h_coeffs, t, order)
+        G = realize(_frame_at(params, t).gauge, t, order)
+        R = _band_residual(hm - G, eta, Hm)
+    finite = all(np.isfinite(m).all() for m in (Hm, hm, G, R))
+    scale = 1.0 + interior_norm(Hm, PAD) + interior_norm(hm, PAD) if finite else math.inf
+    if not math.isfinite(scale):
+        raise PreconditionError(
+            f"the frame equation is not finite at t={t} with truncation {order}")
     return interior_norm(R, PAD) / scale
 
 
 # ---------------------------------------------------------------------------
 # per-class solver
 
-@dataclass(eq=False, repr=False, slots=True)
+@dataclass(eq=False, slots=True)
 class DysonSolution:
     """Frame map, Hermitian image and bookkeeping from one solve."""
 
@@ -236,11 +241,6 @@ class DysonSolution:
     constraints: dict
     free_parameters: tuple
     tdde: dict
-
-    def __repr__(self):
-        worst = max(self.tdde.values()) if self.tdde else float("nan")
-        return (f"DysonSolution({self.params.pt_class.value}, "
-                f"max tdde residual {worst:.2e})")
 
 
 # A builder reads mu, the map (word, part) -> sympy expression of the
@@ -382,8 +382,7 @@ def solve_dyson(pt_class, coeffs, lam=None, tau=None,
     probe times, and the returned Hermitian image is re-verified against
     the defining operator relation before it is handed back.
     """
-    if not isinstance(pt_class, PtClass):
-        pt_class = PtClass(str(pt_class))
+    pt_class = PtClass(pt_class)
     found = classify_pt(coeffs, probe_times)
     if pt_class not in found:
         names = sorted(c.value for c in found) or ["none"]

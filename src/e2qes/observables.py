@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +43,8 @@ class QuadratureGrid:
     def nodes(self):
         return 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
 
-    @property
-    def weight(self):
-        return 2.0 * np.pi / self.n_nodes
-
     def integrate(self, values):
-        return self.weight * complex(np.sum(values))
+        return 2.0 * np.pi / self.n_nodes * complex(np.sum(values))
 
 
 def modes_to_grid(modes, grid):
@@ -120,9 +117,6 @@ def tdse_residual(state_fn, h_coeffs, t, grid):
 # ---------------------------------------------------------------------------
 # the closed three-level family (quantized level 2)
 
-STATE_NAMES = ("plus", "minus", "zero")
-
-
 @dataclass(frozen=True)
 class ThreeLevelSystem:
     """Quantized-level-2 eigensystem in the Hermitian frame.
@@ -162,34 +156,35 @@ class ThreeLevelSystem:
             "zero": 4.0 - bz,
         }
 
-    def normalization(self, state):
-        """Quadratic normalization constants of the closed forms."""
-        g = self.gamma
-        i0, i1 = _bessel_i((0, 1), 0.5 * g)
-        sgn = 1.0 if state == "plus" else -1.0
-        s = np.sqrt(1.0 + g * g)
-        norm = i1 if state == "zero" else (
-            g * (1.0 + g * g + sgn * s) * i0
-            - (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i1)
-        if not norm > 0.0:  # underflow or cancellation at small gamma
-            raise PreconditionError(f"three-level {state} normalization vanishes at gamma={g}")
-        return norm
+    @cached_property
+    def _constants(self):
+        """Per state: (first moment / normalization, amplitude), from one Bessel call.
 
-    def moment(self, state):
-        """First-moment constants entering <u> and <v> of the even states."""
-        if state == "zero":
-            raise PreconditionError("moment constants are defined for plus/minus only")
+        The ratio r gives <u> = -r sin(lam) and <v> = r cos(lam), so the
+        odd state's moment is -I_2.
+        """
         g = self.gamma
-        i1, i2 = _bessel_i((1, 2), 0.5 * g)
-        sgn = 1.0 if state == "plus" else -1.0
+        i0, i1, i2 = _bessel_i((0, 1, 2), 0.5 * g)
         s = np.sqrt(1.0 + g * g)
-        return (g * (1.0 - g * g + sgn * s) * i1
-                + (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i2)
+        norms, moments = {"zero": i1}, {"zero": -i2}
+        for state, sgn in (("plus", 1.0), ("minus", -1.0)):
+            norms[state] = (g * (1.0 + g * g + sgn * s) * i0
+                            - (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i1)
+            moments[state] = (g * (1.0 - g * g + sgn * s) * i1
+                              + (2.0 + 2.0 * g * g + sgn * (2.0 + g * g) * s) * i2)
+        out = {}
+        for state, norm in norms.items():
+            if not norm > 0.0:  # underflow or cancellation at small gamma
+                raise PreconditionError(
+                    f"three-level {state} normalization vanishes at gamma={g}")
+            out[state] = (moments[state] / norm, np.sqrt(g) / (2.0 * np.sqrt(np.pi * norm)))
+        return out
 
-    def wavefunction(self, state, t, grid):
-        """Sampled closed-form state including its energy phase."""
-        if state not in STATE_NAMES:
-            raise PreconditionError(f"state must be one of {STATE_NAMES}")
+    def states(self, t, grid):
+        """The three closed-form states sampled at time t, energy phases included.
+
+        Keyed "plus", "minus" and "zero", in :meth:`energies` order.
+        """
         g = self.gamma
         # angle addition keeps the nodes when lam(t) is huge; math reduces it exactly
         lam_t = self.lam(t)
@@ -198,37 +193,23 @@ class ThreeLevelSystem:
         sin_x = sin_n * cos_l + cos_n * sin_l
         cos_x = cos_n * cos_l - sin_n * sin_l
         envelope = np.exp(-0.25 * g * cos_x)
-        energies = self.energies()
-        if not math.isfinite(float(energies[state]) * t):
-            raise PreconditionError(f"the {state} state's energy phase overflows at t={t}")
-        phase = np.exp(-1j * energies[state] * t)
-        if state == "zero":
-            amp = np.sqrt(g) / (2.0 * np.sqrt(np.pi * self.normalization("zero")))
-            return amp * envelope * sin_x * phase
         s = np.sqrt(1.0 + g * g)
-        coef = 1.0 + s if state == "plus" else 1.0 - s
-        amp = np.sqrt(g) / (2.0 * np.sqrt(np.pi * self.normalization(state)))
-        return amp * envelope * (g + coef * cos_x) * phase
-
-    def superposition(self, amplitudes, t, grid):
-        """sum_s a_s phi_s(t); phases are carried by the states themselves."""
-        out = np.zeros(grid.n_nodes, dtype=complex)
-        for state, a in amplitudes.items():
-            if a != 0:
-                out = out + a * self.wavefunction(state, t, grid)
+        shapes = {"plus": g + (1.0 + s) * cos_x, "minus": g + (1.0 - s) * cos_x,
+                  "zero": sin_x}
+        out = {}
+        for state, energy in self.energies().items():
+            if not math.isfinite(float(energy) * t):
+                raise PreconditionError(f"the {state} state's energy phase overflows at t={t}")
+            amp = self._constants[state][1]
+            out[state] = amp * envelope * shapes[state] * np.exp(-1j * energy * t)
         return out
 
     def closed_form_expectations(self, t):
         """<u>, <v>, <J> per state from the first-moment closed forms."""
         lam_t = self.lam(t)
         sin_l, cos_l = np.sin(lam_t), np.cos(lam_t)
-        i2 = _bessel_i((1, 2), 0.5 * self.gamma)[1]
-        ratio0 = i2 / self.normalization("zero")  # I_2 / I_1, with I_1 tested > 0
-        out = {"zero": {"u": ratio0 * sin_l, "v": -ratio0 * cos_l, "J": 0.0}}
-        for state in ("plus", "minus"):
-            r = self.moment(state) / self.normalization(state)
-            out[state] = {"u": -r * sin_l, "v": r * cos_l, "J": 0.0}
-        return out
+        return {state: {"u": -r * sin_l, "v": r * cos_l, "J": 0.0}
+                for state, (r, _) in self._constants.items()}
 
 
 def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):

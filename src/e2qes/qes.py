@@ -143,7 +143,7 @@ def closed_form_eigenvalues(sector, n_hat, gamma):
             s = np.sqrt(1.0 + g2)
             return np.sort(np.array([2.0 - 2.0 * s, 2.0 + 2.0 * s]))
         if n_hat == 3:
-            return _cubic_cos3(g2)
+            return _cubic(g2, 13.0, 35.0, 4.0 / 3.0, 5.0, 2.0)
         raise PreconditionError(f"no closed form for cos sector at n_hat={n_hat}")
     if n_hat == 2:
         return np.array([4.0])
@@ -151,7 +151,7 @@ def closed_form_eigenvalues(sector, n_hat, gamma):
         s = np.sqrt(9.0 + g2)
         return np.sort(np.array([10.0 - 2.0 * s, 10.0 + 2.0 * s]))
     if n_hat == 4:
-        return _cubic_sin4(g2)
+        return _cubic(g2, 49.0, 143.0, 8.0 / 3.0, 7.0, 1.0)
     raise PreconditionError(f"no closed form for sin sector at n_hat={n_hat}")
 
 
@@ -161,18 +161,14 @@ def _resolvent_angles(arg):
     return np.arccos(min(1.0, max(-1.0, arg))) / 3.0
 
 
-def _cubic_cos3(g2):
-    kappa = np.sqrt(13.0 + 3.0 * g2)
-    theta = _resolvent_angles((35.0 - 18.0 * g2) / kappa ** 3)
-    vals = [(4.0 / 3.0) * (5.0 + 2.0 * kappa * np.cos(2.0 * np.pi * ell / 3.0 - theta))
-            for ell in (0, 1, 2)]
-    return np.sort(np.array(vals))
+def _cubic(g2, k0, a0, scale, shift, mult):
+    """Sorted scale * (shift + mult * kappa * cos(2 pi l / 3 - theta)), l = 0, 1, 2.
 
-
-def _cubic_sin4(g2):
-    kappa = np.sqrt(49.0 + 3.0 * g2)
-    theta = _resolvent_angles((143.0 - 18.0 * g2) / kappa ** 3)
-    vals = [(8.0 / 3.0) * (7.0 + kappa * np.cos(2.0 * np.pi * ell / 3.0 - theta))
+    kappa = sqrt(k0 + 3 g2) and cos(3 theta) = (a0 - 18 g2) / kappa^3.
+    """
+    kappa = np.sqrt(k0 + 3.0 * g2)
+    theta = _resolvent_angles((a0 - 18.0 * g2) / kappa ** 3)
+    vals = [scale * (shift + mult * kappa * np.cos(2.0 * np.pi * ell / 3.0 - theta))
             for ell in (0, 1, 2)]
     return np.sort(np.array(vals))
 

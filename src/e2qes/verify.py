@@ -273,8 +273,7 @@ def check_three_level():
     for gamma in (0.5, 1.0, 2.0):
         sys = ThreeLevelSystem.from_couplings(gamma / (1.0 + beta), beta,
                                               "0.4*sin(t)")
-        states = {s: sys.wavefunction(s, t, grid)
-                  for s in ("plus", "minus", "zero")}
+        states = sys.states(t, grid)
         names = list(states)
         for i, a in enumerate(names):
             for j, b in enumerate(names):
@@ -288,22 +287,18 @@ def check_three_level():
             j_worst = max(j_worst, abs(expectation("J", states[s], grid)))
         hh = closed_form_counterpart(sys.params, sys.lam)
         for s in names:
-            res = tdse_residual(lambda tt, ss=s: sys.wavefunction(ss, tt, grid),
-                                hh, t, grid)
+            res = tdse_residual(lambda tt, ss=s: sys.states(tt, grid)[ss], hh, t, grid)
             tdse_worst = max(tdse_worst, res)
-        tdse_worst = max(tdse_worst, tdse_residual(
-            lambda tt: sys.superposition({"plus": 0.6, "zero": 0.8j}, tt, grid),
-            hh, t, grid))
-    passed = (gram_worst <= 1e-10 and expect_worst <= 1e-10
-              and j_worst <= 1e-10 and tdse_worst <= 1e-6)
-    return CheckResult(
-        passed=passed,
-        measure=max(gram_worst, expect_worst, j_worst),
-        threshold=1e-10,
-        detail=(f"Gram {gram_worst:.3e}, moments {expect_worst:.3e}, "
-                f"<J> {j_worst:.3e}, evolution residual {tdse_worst:.3e} "
-                "(threshold 1e-6)"),
-    )
+
+        def mixed(tt):
+            at = sys.states(tt, grid)
+            return 0.6 * at["plus"] + 0.8j * at["zero"]
+
+        tdse_worst = max(tdse_worst, tdse_residual(mixed, hh, t, grid))
+    return _bounded(max(gram_worst, expect_worst, j_worst), 1e-10,
+                    f"Gram {gram_worst:.3e}, moments {expect_worst:.3e}, "
+                    f"<J> {j_worst:.3e}, evolution residual {tdse_worst:.3e} "
+                    "(threshold 1e-6)", also=tdse_worst <= 1e-6)
 
 
 def check_energy_identities():

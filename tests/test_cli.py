@@ -407,6 +407,14 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
     # tau = c sec(lambda) is about 900, and exp(tau v) overflows
     ("solve-dyson", _shipped("solve_dyson_pt2.json", **{"lambda": "1.5707"}),
      re.escape("the frame map is not finite at t=0.0 with truncation 64")),
+    # muJJ n^2 overflows at the edge modes, and the SVD of the residual fails
+    ("solve-dyson", _shipped("solve_dyson_pt2.json", coefficients=dict(
+        MODEL_COEFFS, muJJ={"re": 5e304, "im": 0})),
+     re.escape("the frame equation is not finite at t=0.0 with truncation 64")),
+    # H overflows at the edge modes, and 1 + |H| + |h| overflows to infinity
+    ("solve-dyson", _shipped("solve_dyson_pt2.json", coefficients=dict(
+        MODEL_COEFFS, muJJ={"re": 4.5e304, "im": 0})),
+     re.escape("the frame equation is not finite at t=0.0 with truncation 64")),
     # the Jacobi entries are finite, its extreme eigenvalues are not
     ("spectrum", {"sector": "cos", "nHat": 3, "zeta": 0.5, "beta": 1e308},
      re.escape("zeta=0.5 and beta=1e+308 overflow the cos sector recurrence")),
@@ -419,7 +427,8 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
         "double-scaling-limit-overflow",
         "observables-small-gamma", "observables-tiny-gamma", "observables-closed-form-overflow",
         "observables-phase-overflow", "solve-dyson-pt1-frame-overflow",
-        "solve-dyson-pt2-frame-overflow", "spectrum-eigenvalue-overflow",
+        "solve-dyson-pt2-frame-overflow", "solve-dyson-frame-equation-svd",
+        "solve-dyson-frame-equation-scale", "spectrum-eigenvalue-overflow",
         "wavefunctions-shift-overflow"])
 def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err):
     cfg = _cfg(tmp_path, "p.json", payload)

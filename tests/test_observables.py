@@ -118,7 +118,7 @@ def test_tdse_detects_wrong_hamiltonian():
     good = closed_form_counterpart(sys.params, sys.lam)
     wrong = closed_form_counterpart(
         ModelParams.quantized(2, 0.5, 0.8), sys.lam)
-    fn = lambda t: sys.wavefunction("plus", t, grid)
+    fn = lambda t: sys.states(t, grid)["plus"]
     assert tdse_residual(fn, good, 0.6, grid) <= 1e-6
     assert tdse_residual(fn, wrong, 0.6, grid) >= 1e-2
 
@@ -144,7 +144,7 @@ def test_three_level_states_orthonormal():
     grid = QuadratureGrid()
     sys = ThreeLevelSystem.from_couplings(0.9, 0.2, "0.3*t")
     t = 1.2
-    states = [sys.wavefunction(s, t, grid) for s in ("plus", "minus", "zero")]
+    states = list(sys.states(t, grid).values())
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             val = grid.integrate(np.conj(a) * b)
@@ -156,8 +156,7 @@ def test_three_level_moments_match_quadrature():
     sys = ThreeLevelSystem.from_couplings(1.0, 0.3, "0.7")
     t = 0.0
     closed = sys.closed_form_expectations(t)
-    for state in ("plus", "minus", "zero"):
-        psi = sys.wavefunction(state, t, grid)
+    for state, psi in sys.states(t, grid).items():
         for op in ("u", "v", "J"):
             assert expectation(op, psi, grid) == pytest.approx(
                 closed[state][op], abs=1e-12)
@@ -169,8 +168,7 @@ def test_three_level_moments_survive_large_frame_angle():
     sys = ThreeLevelSystem.from_couplings(0.5, 0.3, "1e10 + 0.4*sin(t)")
     for t in (0.0, 0.5, 1.0):
         closed = sys.closed_form_expectations(t)
-        for state in ("plus", "minus", "zero"):
-            psi = sys.wavefunction(state, t, grid)
+        for state, psi in sys.states(t, grid).items():
             for op in ("u", "v", "J"):
                 assert abs(expectation(op, psi, grid) - closed[state][op]) <= 1e-12
 
@@ -179,7 +177,8 @@ def test_superposition_linearity_and_norm():
     grid = QuadratureGrid()
     sys = ThreeLevelSystem.from_couplings(0.5, 0.3, "0.1*t")
     t = 0.4
-    psi = sys.superposition({"plus": 0.6, "zero": 0.8j}, t, grid)
+    states = sys.states(t, grid)
+    psi = 0.6 * states["plus"] + 0.8j * states["zero"]
     norm = grid.integrate(np.abs(psi) ** 2).real
     assert norm == pytest.approx(1.0, abs=1e-12)
 

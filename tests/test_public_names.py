@@ -53,6 +53,24 @@ def test_every_public_definition_is_used_inside_the_package():
     assert sorted(defined - set().union(*_names_read_in_modules().values())) == []
 
 
+def test_every_public_member_is_read_outside_its_class():
+    # a public method or property of a public class must be read as an
+    # attribute somewhere in the package outside that class's body
+    bodies = _module_bodies()
+    classes = [stmt for body in bodies.values() for stmt in body
+               if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")]
+    everywhere = [node for body in bodies.values() for stmt in body for node in ast.walk(stmt)]
+    unread = []
+    for cls in classes:
+        own = {id(node) for node in ast.walk(cls)}
+        read = {node.attr for node in everywhere if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load) and id(node) not in own}
+        unread += [f"{cls.name}.{stmt.name}" for stmt in cls.body
+                   if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                   and stmt.name not in read]
+    assert unread == []
+
+
 def test_every_exported_name_resolves_and_is_listed():
     listed = dir(e2qes)
     for name in e2qes.__all__:
