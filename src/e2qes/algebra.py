@@ -18,6 +18,7 @@ import numpy as np
 
 # modes trimmed from each edge wherever an operator identity is checked
 PAD = 4
+CUTOFFS = (64, 128, 256, 512)  # tried in turn where a result checks its own truncation
 
 
 @functools.lru_cache(maxsize=32)

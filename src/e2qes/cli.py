@@ -208,10 +208,8 @@ def cmd_wavefunctions(args, cfg):
             f"rootIndex {root_index} out of range; spectrum has "
             f"{len(spec.lambdas)} roots")
     p = ModelParams.quantized(n_hat, zeta, beta)
-    modes = eigenfunction_series(cfg["sector"], n_hat,
-                                 float(spec.lambdas[root_index]), p,
-                                 frame=cfg["frame"], shift=cfg["shift"],
-                                 order=args.truncation)
+    modes = eigenfunction_series(cfg["sector"], n_hat, float(spec.lambdas[root_index]), p,
+                                 frame=cfg["frame"], shift=cfg["shift"])
     grid = QuadratureGrid(n_nodes=args.quadrature)
     samples = modes_to_grid(modes, grid)
     lines = ["theta,re,im"]
@@ -263,8 +261,7 @@ def cmd_verify(args, cfg):
 def cmd_double_scaling(args, cfg):
     from .observables import double_scaling_compare
 
-    rows = double_scaling_compare(cfg["g"], cfg["zetas"], cfg["beta"],
-                                  order=args.truncation, k_low=cfg["kLow"])
+    rows = double_scaling_compare(cfg["g"], cfg["zetas"], cfg["beta"], k_low=cfg["kLow"])
     devs = [float(r["deviation"].max()) for r in rows]
     payload = {
         "g": cfg["g"],
@@ -284,8 +281,8 @@ def cmd_double_scaling(args, cfg):
 
 # Size flags: name -> (default, lo, hi, help).  Dense operators are
 # (2n+1)^2 and their cost grows as n^3: at truncation 512, solve-dyson
-# takes about 27 s and 0.4 GB on a 2-vCPU x86-64 VM, and wavefunctions,
-# which samples a nodes x (2n+1) matrix, peaks at 0.6 GB with 16,384 nodes.
+# takes about 27 s and 0.4 GB on a 2-vCPU x86-64 VM.  wavefunctions derives
+# its cutoff (at most 512) and peaks at 0.6 GB there with 16,384 nodes.
 _SIZES = {
     "truncation": (64, 2, 512, "mode cutoff for dense operators (default 64)"),
     "quadrature": (2048, 8, 16_384, "grid nodes for sampled states (default 2048)"),
@@ -304,7 +301,7 @@ COMMANDS = {
     "wavefunctions": (cmd_wavefunctions, dict(
         _SPECTRUM, rootIndex=(partial(_integer, lo=0), REQUIRED),
         frame=(partial(_choice, options=("H", "h")), "H"),
-        shift=(_number, 0.0)), ("truncation", "quadrature")),
+        shift=(_number, 0.0)), ("quadrature",)),
     "observables": (cmd_observables, {
         "zeta": (_number, REQUIRED), "beta": (_number, REQUIRED),
         "lambda": (_expression, REQUIRED),
@@ -314,7 +311,7 @@ COMMANDS = {
     "double-scaling": (cmd_double_scaling, {
         "g": (_NONNEGATIVE, REQUIRED), "beta": (_number, REQUIRED),
         "zetas": (_NUMBERS, REQUIRED),
-        "kLow": (partial(_integer, lo=1), 4)}, ("truncation",)),
+        "kLow": (partial(_integer, lo=1), 4)}, ()),
 }
 
 

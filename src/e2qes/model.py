@@ -34,34 +34,37 @@ class CoefficientSet:
 
     Missing words default to zero.  Values may be given as a complex
     constant, a single TimeFunction/str/number/sympy expression (real
-    part), or an explicit (re, im) pair of those; each part is wrapped
-    in a TimeFunction here, so the first set built loads sympy.
+    part), or an explicit (re, im) pair of those; equal parts share one
+    TimeFunction made here, so the first set built loads sympy.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         from .timefunc import TimeFunction
+        made = {}  # one TimeFunction per distinct part value, so each prints once
 
-        zero = TimeFunction(0)
-        data = {k: (zero, zero) for k in COEFF_KEYS}
+        def part(value):
+            if (type(value), value) not in made:
+                made[type(value), value] = TimeFunction(value)
+            return made[type(value), value]
+
+        data = {k: (part(0), part(0)) for k in COEFF_KEYS}
         for key, value in dict(terms or {}).items():
             if key not in data:
                 raise KeyError(f"unknown coefficient key {key!r}; valid keys: {COEFF_KEYS}")
-            data[key] = self._coerce(value)
+            data[key] = tuple(map(part, self._parts(value)))
         self._terms = data
 
     @staticmethod
-    def _coerce(value):
-        from .timefunc import TimeFunction
-
+    def _parts(value):
         if isinstance(value, tuple):
             if len(value) != 2:
                 raise ValueError("coefficient pair must be (re, im)")
-            return (TimeFunction(value[0]), TimeFunction(value[1]))
+            return value
         if isinstance(value, complex):
-            return (TimeFunction(value.real), TimeFunction(value.imag))
-        return (TimeFunction(value), TimeFunction(0))
+            return (value.real, value.imag)
+        return (value, 0)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -172,14 +175,13 @@ def classify_pt(coeffs, sample_times=DEFAULT_PROBE_TIMES):
             if all(holds(word, rule) for word, rule in pattern.items())}
 
 
-@functools.lru_cache(maxsize=32)
-def _word_matrices(order):
-    """Each word as the product of its letters' generators in written order."""
+@functools.lru_cache(maxsize=9 * 32)
+def _word_matrix(word, order):
+    """The word as the product of its letters' generators, built on first use."""
     letters = dict(zip("Juv", build_generators(order)))
-    words = {w: functools.reduce(np.matmul, map(letters.get, w)) for w in COEFF_KEYS}
-    for w in words.values():
-        w.setflags(write=False)
-    return words
+    product = functools.reduce(np.matmul, map(letters.get, word))
+    product.setflags(write=False)
+    return product
 
 
 def realize(coeffs, t, order):
@@ -191,13 +193,12 @@ def realize(coeffs, t, order):
     non-Hermitian-looking coefficient splits still land on the intended
     operator.
     """
-    words = _word_matrices(order)
+    total = np.zeros_like(build_generators(order)[0])
     values = coeffs.at(t) if isinstance(coeffs, CoefficientSet) else coeffs
-    total = np.zeros_like(words["J"])
     for key in COEFF_KEYS:
         c = values.get(key, 0)
         if c != 0:
-            total = total + c * words[key]
+            total = total + c * _word_matrix(key, order)
     return total
 
 

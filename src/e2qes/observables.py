@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import CUTOFFS, PAD
 from .errors import PreconditionError
 from .model import COEFF_KEYS, ModelParams, closed_form_counterpart, realize
 
@@ -212,36 +213,58 @@ class ThreeLevelSystem:
                 for state, (r, _) in self._constants.items()}
 
 
-def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
+def double_scaling_compare(g, zeta_list, beta, k_low=4):
     """Low-lying spectra of the level-locked family against its limit.
 
     For each zeta the level parameter is N = g / zeta, and the spectrum is
     that of the static Hermitian partner (the closed form at lambda = 0, a
     Whittaker-Hill operator).  Returns one row per zeta with the lowest
     k_low eigenvalues, the limit spectrum of 4 J^2 + 2 g v (the Mathieu
-    characteristic values), and deviations.
+    characteristic values), and deviations.  All matrices share one mode
+    cutoff: the first of CUTOFFS at which the k_low lowest eigenvectors of
+    each keep at most 1e-12 of their weight in the 2 PAD edge modes, PAD at
+    each end.  When none does, this raises.
     """
-    from scipy.linalg import eigvalsh
+    from scipy.linalg import eigh, eigvalsh
 
-    if not 1 <= k_low <= 2 * order + 1:
+    basis = 2 * CUTOFFS[-1] + 1
+    if not 1 <= k_low <= basis:
         raise PreconditionError(
-            f"kLow must lie in 1..{2 * order + 1}, the basis size, got {k_low}")
+            f"kLow must lie in 1..{basis}, the basis size at {CUTOFFS[-1]} modes, got {k_low}")
+    zetas = [float(zeta) for zeta in zeta_list]
+    for zeta in zetas:
+        if zeta <= 0.0:
+            raise PreconditionError("zeta values must be positive")
+        if float(g) / zeta < 10.0:
+            raise PreconditionError(
+                f"double-scaling comparison needs g/zeta >= 10, got {float(g) / zeta}")
+
+    for order in (c for c in CUTOFFS if 2 * c + 1 >= k_low):
+        spectra = []
+        for name, m in _double_scaling_matrices(g, zetas, beta, order):
+            vecs = eigh(m, subset_by_index=(0, k_low - 1))[1]
+            edge = float(np.max(np.sum(np.abs(np.r_[vecs[:PAD], vecs[-PAD:]]) ** 2, axis=0)))
+            if edge > 1e-12:
+                break
+            spectra.append(eigvalsh(m)[:k_low])
+        else:
+            limit, *rows = spectra
+            return [{"zeta": z, "eigs": e, "limit": limit, "deviation": np.abs(e - limit)}
+                    for z, e in zip(zetas, rows)]
+    raise PreconditionError(
+        f"the {k_low} lowest eigenvectors at {name} keep {edge:.2e} of their weight in "
+        f"the {2 * PAD} edge modes at {order} modes, the largest mode cutoff (bound 1e-12)")
+
+
+def _double_scaling_matrices(g, zetas, beta, order):
+    """(name, matrix): the limit operator, then the partner at each zeta."""
     with np.errstate(over="ignore", invalid="ignore"):  # tested for overflow below
         limit = realize({"JJ": 4.0, "v": 2.0 * float(g)}, 0.0, order)
     if not np.all(np.isfinite(limit)):
         raise PreconditionError(f"limit operator is not finite at g={g}")
-    limit_eigs = eigvalsh(limit)[:k_low]
-
-    rows = []
-    for zeta in zeta_list:
-        zeta = float(zeta)
-        if zeta <= 0.0:
-            raise PreconditionError("zeta values must be positive")
-        level = float(g) / zeta
-        if level < 10.0:
-            raise PreconditionError(
-                f"double-scaling comparison needs g/zeta >= 10, got {level}")
-        p = ModelParams(zeta=zeta, beta=float(beta), level=level)
+    yield f"g={g}", limit
+    for zeta in zetas:
+        p = ModelParams(zeta=zeta, beta=float(beta), level=float(g) / zeta)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # tested below
                 h = realize(closed_form_counterpart(p, 0.0), 0.0, order)
@@ -251,11 +274,4 @@ def double_scaling_compare(g, zeta_list, beta, order=64, k_low=4):
         if not finite:
             raise PreconditionError(
                 f"Hermitian partner is not finite at zeta={zeta}, beta={beta}")
-        eigs = eigvalsh(h)[:k_low]
-        rows.append({
-            "zeta": zeta,
-            "eigs": eigs,
-            "limit": limit_eigs,
-            "deviation": np.abs(eigs - limit_eigs),
-        })
-    return rows
+        yield f"zeta={zeta}", h

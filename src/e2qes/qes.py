@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .algebra import CUTOFFS
 from .errors import PreconditionError
 
 SECTORS = ("cos", "sin")
@@ -207,9 +208,8 @@ def factorization_residual(sector, n_hat, ell, p):
     return float(np.max(np.abs(diff))) / max(scale, 1.0)
 
 
-def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
-                         order=64):
-    """Fourier modes of one terminating eigenfunction, |n| <= order.
+def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0):
+    """Fourier modes of one terminating eigenfunction, |n| <= a derived cutoff.
 
     lam_value must lie within 1e-8 max(1, |lam|) of an eigenvalue of the
     sector's Jacobi matrix.  Its eigenvector v gives the series weights
@@ -219,9 +219,9 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     frame 'H' multiplies the series by the bare-frame weight
     exp(-(zeta/2) cos theta) and takes no shift; frame 'h' uses
     exp(-(gamma/4) cos(theta + shift)) and rotates each mode by
-    exp(i n shift).  The mode vector is L2-normalized.  A relative tail
-    mass above 1e-12 outside the window means the truncation is too small
-    and raises.
+    exp(i n shift).  The mode vector is L2-normalized.  The cutoff is the
+    first of algebra.CUTOFFS whose window reaches the series and leaves at
+    most 1e-12 of the mass outside; when none does, this raises.
     """
     from scipy.special import ive
 
@@ -238,10 +238,9 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     nh = int(n_hat)
     if nh - 1 < lo:
         raise PreconditionError(f"{sector} sector needs n_hat >= {lo + 1}")
-    if nh - 1 > order:
+    if nh - 1 > CUTOFFS[-1]:
         raise PreconditionError(
-            f"the series reaches |n| = {nh - 1} > order = {order}; "
-            "increase the truncation order")
+            f"the series reaches |n| = {nh - 1} > {CUTOFFS[-1]}, the largest mode cutoff")
     diag, off = _jacobi(sector, nh, p.gamma)
     tol = 1e-8 * max(1.0, abs(lam_value))
     found, vecs = _eigh(diag, off, p.zeta, p.beta, select="v",
@@ -254,35 +253,31 @@ def eigenfunction_series(sector, n_hat, lam_value, p, frame="H", shift=0.0,
     first = 1.0 if sector == "cos" else np.sign(p.gamma)  # sign of c_lo P_lo
     ratios = off / (p.gamma * (nh + ns[1:] - 1.0))
     terms = np.cumprod(np.r_[first, ratios]) * v * np.copysign(1.0, v[0])
-
-    ext = order + 16
-    series = np.zeros(2 * ext + 1, dtype=complex)
-    mid = ext
     half = 0.5 * terms if sector == "cos" else -0.5j * terms
-    series[mid + ns] += half
-    series[mid - ns] += half if sector == "cos" else -half
-
     z = -0.5 * p.zeta if frame == "H" else -0.25 * p.gamma
-    # exponentially scaled I_|k|(z); the scale cancels in the normalization
-    pref = ive(np.abs(np.arange(-ext, ext + 1)), z)
-    if not np.all(np.isfinite(pref)):  # scipy gives NaN past |z| ~ 2^30
-        raise PreconditionError(f"Bessel envelope is not finite at zeta={p.zeta}, beta={p.beta}")
-    modes = np.convolve(pref, series)[ext:3 * ext + 1]  # central slice, len 2*ext+1
 
-    if shift != 0.0:
-        ks = np.arange(-ext, ext + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            modes = modes * np.exp(1j * ks * shift)
-        if not np.all(np.isfinite(modes)):
-            raise PreconditionError(f"shift={shift} overflows the mode phases n*shift")
-
-    total = float(np.sum(np.abs(modes) ** 2))
-    tail = total - float(np.sum(np.abs(modes[16:-16]) ** 2))
-    if total == 0.0:
-        raise PreconditionError("series collapsed to zero")
-    if tail / total > 1e-12:
-        raise PreconditionError(
-            f"relative tail mass {tail / total:.2e} outside |n| <= {order}; "
-            "increase the truncation order")
-    window = modes[16:-16]
-    return window / np.sqrt(np.sum(np.abs(window) ** 2))
+    for order in (c for c in CUTOFFS if c >= nh - 1):
+        ext = order + 16
+        series = np.zeros(2 * ext + 1, dtype=complex)
+        series[ext + ns] += half
+        series[ext - ns] += half if sector == "cos" else -half
+        # exponentially scaled I_|k|(z); the scale cancels in the normalization
+        pref = ive(np.abs(np.arange(-ext, ext + 1)), z)
+        if not np.all(np.isfinite(pref)):  # scipy gives NaN past |z| ~ 2^30
+            raise PreconditionError(
+                f"Bessel envelope is not finite at zeta={p.zeta}, beta={p.beta}")
+        modes = np.convolve(pref, series)[ext:3 * ext + 1]  # central slice, len 2*ext+1
+        if shift != 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                modes = modes * np.exp(1j * np.arange(-ext, ext + 1) * shift)
+            if not np.all(np.isfinite(modes)):
+                raise PreconditionError(f"shift={shift} overflows the mode phases n*shift")
+        total = float(np.sum(np.abs(modes) ** 2))
+        tail = total - float(np.sum(np.abs(modes[16:-16]) ** 2))
+        if total == 0.0:
+            raise PreconditionError("series collapsed to zero")
+        if tail / total <= 1e-12:
+            window = modes[16:-16]
+            return window / np.sqrt(np.sum(np.abs(window) ** 2))
+    raise PreconditionError(f"relative tail mass {tail / total:.2e} outside |n| <= {order}, "
+                            f"the largest mode cutoff, at zeta={p.zeta}, beta={p.beta}")

@@ -14,6 +14,7 @@ invariant residuals, the three-level family and the double-scaling limit.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass
 
@@ -273,7 +274,9 @@ def check_three_level():
     for gamma in (0.5, 1.0, 2.0):
         sys = ThreeLevelSystem.from_couplings(gamma / (1.0 + beta), beta,
                                               "0.4*sin(t)")
-        states = sys.states(t, grid)
+        # every state below is sampled at t and t +- dt only, once per time
+        at = functools.lru_cache(lambda tt: sys.states(tt, grid))
+        states = at(t)
         names = list(states)
         for i, a in enumerate(names):
             for j, b in enumerate(names):
@@ -286,15 +289,9 @@ def check_three_level():
                 expect_worst = max(expect_worst, abs(q - closed[s][op]))
             j_worst = max(j_worst, abs(expectation("J", states[s], grid)))
         hh = closed_form_counterpart(sys.params, sys.lam)
-        for s in names:
-            res = tdse_residual(lambda tt, ss=s: sys.states(tt, grid)[ss], hh, t, grid)
-            tdse_worst = max(tdse_worst, res)
-
-        def mixed(tt):
-            at = sys.states(tt, grid)
-            return 0.6 * at["plus"] + 0.8j * at["zero"]
-
-        tdse_worst = max(tdse_worst, tdse_residual(mixed, hh, t, grid))
+        fns = [lambda tt, ss=s: at(tt)[ss] for s in names]
+        fns.append(lambda tt: 0.6 * at(tt)["plus"] + 0.8j * at(tt)["zero"])
+        tdse_worst = max(tdse_worst, *(tdse_residual(f, hh, t, grid) for f in fns))
     return _bounded(max(gram_worst, expect_worst, j_worst), 1e-10,
                     f"Gram {gram_worst:.3e}, moments {expect_worst:.3e}, "
                     f"<J> {j_worst:.3e}, evolution residual {tdse_worst:.3e} "

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from e2qes.cli import COMMANDS, REQUIRED, main
+from e2qes.model import ModelParams, model_hamiltonian
+from e2qes.observables import QuadratureGrid, apply_coefficients
+from e2qes.qes import quantization_eigenvalues
 
 MODEL_COEFFS = {
     "muJ": {"re": 0, "im": 0},
@@ -177,8 +180,7 @@ def test_double_scaling(tmp_path):
     cfg = _cfg(tmp_path, "ds.json",
                {"g": 1.0, "beta": 0.3, "zetas": [0.1, 0.02], "kLow": 3})
     out = tmp_path / "ds_out.json"
-    assert main(["double-scaling", "--input", cfg, "--output", str(out),
-                 "--truncation", "48"]) == 0
+    assert main(["double-scaling", "--input", cfg, "--output", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["monotone"] is True
     assert len(data["rows"]) == 2
@@ -213,8 +215,8 @@ def test_bad_json_file(tmp_path, capsys):
 
 
 def test_truncation_below_two_is_config_error(tmp_path, capsys):
-    cfg = _cfg(tmp_path, "ds.json", {"g": 1.0, "beta": 0.3, "zetas": [0.1]})
-    assert main(["double-scaling", "--input", cfg, "--truncation", "1"]) == 2
+    cfg = _cfg(tmp_path, "d.json", _shipped("solve_dyson_pt2.json"))
+    assert main(["solve-dyson", "--input", cfg, "--truncation", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: --truncation must be >= 2\n"
 
@@ -321,8 +323,10 @@ def test_nhat_above_cap_is_config_error(tmp_path, capsys, n_hat):
 ])
 def test_size_flag_above_cap_is_config_error(tmp_path, capsys, flag, value, err):
     # rejected before any config is read or any array is built
-    cfg = _cfg(tmp_path, "w.json", _shipped("wavefunction_cos2.json"))
-    assert main(["wavefunctions", "--input", cfg, flag, value]) == 2
+    sub, name = {"--truncation": ("solve-dyson", "solve_dyson_pt2.json"),
+                 "--quadrature": ("wavefunctions", "wavefunction_cos2.json")}[flag]
+    cfg = _cfg(tmp_path, "c.json", _shipped(name))
+    assert main([sub, "--input", cfg, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
@@ -380,8 +384,8 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
      re.escape("the tridiagonal eigensolver failed at zeta=1.0, beta=1e+300: ") + ".+"),
     ("double-scaling", {"g": 3, "beta": 1e300, "zetas": [0.3], "kLow": 10},
      re.escape("Hermitian partner is not finite at zeta=0.3, beta=1e+300")),
-    ("double-scaling", _shipped("double_scaling.json", kLow=1000),
-     re.escape("kLow must lie in 1..129, the basis size, got 1000")),
+    ("double-scaling", _shipped("double_scaling.json", kLow=1026),
+     re.escape("kLow must lie in 1..1025, the basis size at 512 modes, got 1026")),
     # lambda(t) overflows to -inf without raising
     ("observables", dict(THREE_LEVEL_RUN, times=[-1e300], **{"lambda": "1e300*t"}),
      r"evaluating \S+ at t=-1e\+300: non-finite value -inf"),
@@ -389,7 +393,7 @@ def test_solve_dyson_truncation_inside_pad_is_precondition_error(tmp_path, capsy
     ("wavefunctions", {"sector": "cos", "nHat": 1, "zeta": 2147483648.0, "beta": 0.0,
                        "rootIndex": 0},
      re.escape("Bessel envelope is not finite at zeta=2147483648.0, beta=0.0")),
-    ("double-scaling", {"g": 8.98846567431158e+307, "beta": 0.0, "zetas": [0.0]},
+    ("double-scaling", {"g": 8.98846567431158e+307, "beta": 0.0, "zetas": [1.0]},
      re.escape("limit operator is not finite at g=8.98846567431158e+307")),
     ("observables", dict(THREE_LEVEL_RUN, zeta=1e-9, beta=0.0),
      re.escape("three-level minus normalization vanishes at gamma=1e-09")),
@@ -440,17 +444,48 @@ def test_precondition_error_on_finite_input(tmp_path, capsys, sub, payload, err)
     assert re.fullmatch(f"error: {err}\n", captured.err)
 
 
-def test_double_scaling_huge_level_is_finite(tmp_path, capsys):
-    # found by tests/test_cli_fuzz.py: every entry of the partner at this
-    # level is finite, and so is its spectrum
-    cfg = _cfg(tmp_path, "d.json",
-               {"g": 1.3353866399245677e+307, "beta": 0.0, "zetas": [11.0]})
+def test_double_scaling_huge_level_exceeds_the_largest_cutoff(tmp_path, capsys):
+    # found by tests/test_cli_fuzz.py: every entry of the limit and the
+    # partner at this level is finite, but the limit's ground state is about
+    # g^(-1/4) wide, far narrower than 512 modes resolve
+    g = 1.3353866399245677e+307
+    cfg = _cfg(tmp_path, "d.json", {"g": g, "beta": 0.0, "zetas": [11.0]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["double-scaling", "--input", cfg]) == 0
+        assert main(["double-scaling", "--input", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        re.escape(f"error: the 4 lowest eigenvectors at g={g} keep ") + r"\S+ "
+        + re.escape("of their weight in the 8 edge modes at 512 modes, the largest mode "
+                    "cutoff (bound 1e-12)\n"), captured.err)
+
+
+def test_double_scaling_kLow_above_the_first_basis_takes_a_larger_cutoff(tmp_path, capsys):
+    # kLow = 200 does not fit the 129-mode basis at 64 modes; at 128 modes
+    # the 200th eigenvector (a plane wave near |n| = 100) keeps far less
+    # than 1e-12 of its weight at the edge
+    cfg = _cfg(tmp_path, "d.json", _shipped("double_scaling.json", kLow=200, zetas=[0.1]))
+    assert main(["double-scaling", "--input", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
-    values = out["limit"] + out["rows"][0]["eigenvalues"] + out["rows"][0]["deviations"]
-    assert len(values) == 12 and np.all(np.isfinite(values))
+    assert len(out["limit"]) == len(out["rows"][0]["eigenvalues"]) == 200
+
+
+def test_wavefunction_at_strong_coupling_takes_a_larger_cutoff(tmp_path, capsys):
+    # exp(-200 cos theta) needs more than 64 modes: the series doubles its
+    # window to 128 and the samples solve H psi = E psi on the grid
+    zeta, beta = 400.0, 0.3
+    cfg = _cfg(tmp_path, "w.json", {"sector": "cos", "nHat": 3, "zeta": zeta, "beta": beta,
+                                    "rootIndex": 0})
+    assert main(["wavefunctions", "--input", cfg]) == 0
+    rows = np.array([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]],
+                    dtype=float)
+    psi = rows[:, 1] + 1j * rows[:, 2]
+    p = ModelParams.quantized(3, zeta, beta)
+    energy = quantization_eigenvalues("cos", 3, zeta, beta).energies[0]
+    grid = QuadratureGrid()
+    defect = apply_coefficients(model_hamiltonian(p), 0.0, psi, grid) - energy * psi
+    assert np.linalg.norm(defect) <= 1e-9 * abs(energy) * np.linalg.norm(psi)
 
 
 def test_sign_derivative_is_expression_error(tmp_path, capsys):
@@ -555,7 +590,7 @@ def test_size_flag_a_subcommand_does_not_read_is_rejected(capsys, sub, flag):
 
 @pytest.mark.parametrize("argv,err", [
     (["classify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-    (["wavefunctions", "--truncation", "abc"],
+    (["solve-dyson", "--truncation", "abc"],
      "argument --truncation: invalid int value: 'abc'"),
     (["spectrum", "--input"], "argument --input: expected one argument"),
     ([], "the following arguments are required: command"),

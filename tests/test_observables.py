@@ -189,7 +189,7 @@ def test_double_scaling_requires_deep_level():
 
 
 def test_double_scaling_structure():
-    rows = double_scaling_compare(1.0, [0.1, 0.02], 0.3, order=48, k_low=3)
+    rows = double_scaling_compare(1.0, [0.1, 0.02], 0.3, k_low=3)
     assert len(rows) == 2
     assert rows[0]["deviation"].max() > rows[1]["deviation"].max()
     # limit eigenvalues independent of zeta
@@ -212,6 +212,33 @@ def test_double_scaling_limit_is_mathieu_spectrum(g):
     _assert_spectra_close(limit, mathieu[:k_low])
 
 
+def test_double_scaling_limit_at_strong_coupling_is_the_large_q_expansion():
+    # the modes the ground state needs grow like g^(1/4): at g = 1e6, 64 modes
+    # miss the limit by 2.6 to 884; the derived cutoff meets DLMF 28.8.1,
+    # a = -2q + 2s sqrt(q) - (s^2 + 1)/8 - (s^3 + 3s)/(2^7 sqrt(q)), s = 2k + 1
+    q = 1e6
+    rows = double_scaling_compare(q, [1e3, 1e2], 0.3)
+    s = 2.0 * np.arange(4) + 1.0
+    large_q = (-2.0 * q + 2.0 * s * np.sqrt(q) - (s ** 2 + 1.0) / 8.0
+               - (s ** 3 + 3.0 * s) / (2 ** 7 * np.sqrt(q)))
+    assert np.all(np.abs(rows[0]["limit"] - large_q) <= 1e-5)
+
+
+def test_double_scaling_checks_its_input_before_any_eigensolve(monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve before the input checks")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
+    for zetas, k_low, message in (([0.1, -1.0], 4, "zeta values must be positive"),
+                                  ([0.1, 0.2], 4, "needs g/zeta >= 10"),
+                                  ([0.1], 1026, "kLow must lie in 1..1025")):
+        with pytest.raises(PreconditionError, match=message):
+            double_scaling_compare(1.0, zetas, 0.3, k_low=k_low)
+
+
 @pytest.mark.parametrize("zeta,beta", [(0.5, 0.3), (1.2, 0.7), (0.8, -0.4), (2.0, 0.3)])
 def test_qes_energies_lie_in_the_partner_spectrum(zeta, beta):
     # the static Hermitian partner is a Whittaker-Hill operator; its
@@ -230,7 +257,7 @@ def test_double_scaling_matches_dense_frame_shift():
     # and symmetrize before diagonalizing
     g, beta, zetas, k_low = 1.0, 0.3, [0.1, 0.01, 0.001], 4
     _, _, v = build_generators(64)
-    rows = double_scaling_compare(g, zetas, beta, order=64, k_low=k_low)
+    rows = double_scaling_compare(g, zetas, beta, k_low=k_low)  # at the first cutoff, 64
     for zeta, row in zip(zetas, rows):
         H = realize(model_hamiltonian(ModelParams(zeta, beta, g / zeta)), 0.0, 64)
         tau = (1.0 - beta) * zeta / 4.0

@@ -38,9 +38,9 @@ def test_three_level_reference_digits():
     for lam, (w0, w1) in zip(spec.lambdas, [(1.0, -0.29644006798100964),
                                             (1.0, 3.3733631449040873)]):
         samples = np.exp(-0.25 * np.cos(theta)) * (w0 + w1 * np.cos(theta))
-        want = np.fft.fftshift(np.fft.fft(samples))[128 - 48:128 + 49]
+        want = np.fft.fftshift(np.fft.fft(samples))[128 - 64:128 + 65]
         want /= np.linalg.norm(want)
-        got = eigenfunction_series("cos", 2, float(lam), p, frame="H", order=48)
+        got = eigenfunction_series("cos", 2, float(lam), p, frame="H")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -91,9 +91,9 @@ def test_eigenfunction_at_high_level(sector, zeta, beta):
     # lowest and highest root at n_hat = 40 against the dense operator
     p = ModelParams.quantized(40, zeta, beta)
     spec = quantization_eigenvalues(sector, 40, zeta, beta)
-    H = realize(model_hamiltonian(p), 0.0, 96)
     for k in (0, len(spec.lambdas) - 1):
-        modes = eigenfunction_series(sector, 40, float(spec.lambdas[k]), p, order=96)
+        modes = eigenfunction_series(sector, 40, float(spec.lambdas[k]), p)
+        H = realize(model_hamiltonian(p), 0.0, len(modes) // 2)
         defect = H @ modes - spec.energies[k] * modes
         assert np.linalg.norm(defect[8:-8]) <= 1e-12 * max(1.0, abs(spec.energies[k]))
 
@@ -150,9 +150,9 @@ def test_eigenfunction_is_matrix_eigenvector():
     # eigenvector of the dense operator away from the truncation edge
     p = ModelParams.quantized(3, 0.4, 0.25)
     spec = quantization_eigenvalues("cos", 3, 0.4, 0.25)
-    H = realize(model_hamiltonian(p), 0.0, 48)
     for lam, energy in zip(spec.lambdas, spec.energies):
-        modes = eigenfunction_series("cos", 3, float(lam), p, order=48)
+        modes = eigenfunction_series("cos", 3, float(lam), p)
+        H = realize(model_hamiltonian(p), 0.0, len(modes) // 2)
         defect = H @ modes - energy * modes
         assert np.linalg.norm(defect[8:-8]) <= 1e-9
 
@@ -160,8 +160,8 @@ def test_eigenfunction_is_matrix_eigenvector():
 def test_eigenfunction_sine_sector_eigenvector():
     p = ModelParams.quantized(2, 0.5, 0.3)
     spec = quantization_eigenvalues("sin", 2, 0.5, 0.3)
-    H = realize(model_hamiltonian(p), 0.0, 48)
-    modes = eigenfunction_series("sin", 2, float(spec.lambdas[0]), p, order=48)
+    modes = eigenfunction_series("sin", 2, float(spec.lambdas[0]), p)
+    H = realize(model_hamiltonian(p), 0.0, len(modes) // 2)
     defect = H @ modes - spec.energies[0] * modes
     assert np.linalg.norm(defect[8:-8]) <= 1e-9
 
@@ -169,7 +169,7 @@ def test_eigenfunction_sine_sector_eigenvector():
 def test_eigenfunction_normalized():
     p = ModelParams.quantized(2, 0.5, 0.3)
     spec = quantization_eigenvalues("cos", 2, 0.5, 0.3)
-    modes = eigenfunction_series("cos", 2, float(spec.lambdas[0]), p, order=48)
+    modes = eigenfunction_series("cos", 2, float(spec.lambdas[0]), p)
     # mode-space l2 norm equals the L2 norm over the circle up to 2 pi
     assert np.linalg.norm(modes) == pytest.approx(1.0, abs=1e-12)
 
@@ -177,17 +177,30 @@ def test_eigenfunction_normalized():
 def test_eigenfunction_rejects_non_root():
     p = ModelParams.quantized(2, 0.5, 0.3)
     with pytest.raises(PreconditionError):
-        eigenfunction_series("cos", 2, 1.2345, p, order=48)
+        eigenfunction_series("cos", 2, 1.2345, p)
 
 
 def test_eigenfunction_tail_guard():
-    # strong coupling at a tiny cutoff cannot satisfy the tail criterion
-    p = ModelParams.quantized(2, 6.0, 0.3)
-    spec = quantization_eigenvalues("cos", 2, 6.0, 0.3)
-    with pytest.raises(PreconditionError):
-        eigenfunction_series("cos", 2, float(spec.lambdas[0]), p, order=8)
-    # a series longer than the window itself
-    p = ModelParams.quantized(100, 0.5, 0.3)
-    spec = quantization_eigenvalues("cos", 100, 0.5, 0.3)
-    with pytest.raises(PreconditionError):
-        eigenfunction_series("cos", 100, float(spec.lambdas[0]), p, order=64)
+    # coupling too strong for the largest cutoff cannot satisfy the tail criterion
+    p = ModelParams.quantized(2, 1e5, 0.3)
+    spec = quantization_eigenvalues("cos", 2, 1e5, 0.3)
+    with pytest.raises(PreconditionError, match=r"relative tail mass \S+ outside \|n\| <= 512"):
+        eigenfunction_series("cos", 2, float(spec.lambdas[0]), p)
+    # a series longer than the largest window
+    p = ModelParams.quantized(600, 0.5, 0.3)
+    spec = quantization_eigenvalues("cos", 600, 0.5, 0.3)
+    with pytest.raises(PreconditionError, match=r"reaches \|n\| = 599 > 512"):
+        eigenfunction_series("cos", 600, float(spec.lambdas[0]), p)
+
+
+@pytest.mark.parametrize("zeta,cutoff", [(0.5, 64), (400.0, 128), (2000.0, 256),
+                                         (1e4, 512)])
+def test_eigenfunction_cutoff_is_the_first_that_holds_the_tail(zeta, cutoff):
+    # the window doubles from 64 modes until the tail outside holds 1e-12
+    p = ModelParams.quantized(3, zeta, 0.3)
+    lam = float(quantization_eigenvalues("cos", 3, zeta, 0.3).lambdas[0])
+    modes = eigenfunction_series("cos", 3, lam, p)
+    assert len(modes) == 2 * cutoff + 1
+    # the window half as wide would leave more than 1e-12 of the mass outside
+    inner = modes[cutoff // 2:-(cutoff // 2)]
+    assert cutoff == 64 or 1.0 - np.linalg.norm(inner) ** 2 > 1e-12
